@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.optimize import brentq
+
 from .quadrature import DEFAULT_CONFIG, NonConvergenceError, QuadratureConfig
 from .volume_kernel import small_length_constant, volume_kernel
 
@@ -23,6 +25,16 @@ __all__ = [
     "shortest_ortho_bound",
     "BoundResult",
 ]
+
+_LOG2 = math.log(2.0)
+_LOG8 = math.log(8.0)
+# seed range of the crossing and hard limits of the bracket, in t = log x
+_LOG_SEED_LO = math.log(1e-6)
+_LOG_BRACKET_LO = math.log(1e-300)
+_LOG_BRACKET_HI = math.log(50.0)
+# absolute tolerance on t (relative on x) and brentq's least rtol, 4 eps
+_T_TOL = 1e-15
+_T_RTOL = 8.9e-16
 
 
 def collar_volume_factor(n: int, r: float) -> float:
@@ -77,49 +89,70 @@ def volume_bound(
 ) -> BoundResult:
     """Volume lower bound for an n-manifold with boundary area given.
 
-    Solves kernel(2x) = area * collar_volume_factor(x) by bisection,
-    matching kernel decay against collar growth.  The left side falls
-    from +inf at 0 and the right side grows from 0, so the crossing is
-    unique; the initial bracket [1e-6, 1] widens by factors of 8 down
-    and 2 up until it straddles, and 60 halvings pin the root to about
-    16 digits.  Bisection over a faster root finder is deliberate: the
-    difference spans hundreds of orders of magnitude near 0, where
-    secant steps of brentq-style solvers overshoot.
+    Solves kernel(2x) = area * collar_volume_factor(x) in log-log
+    coordinates: Brent's method finds the root of
+    h(t) = log kernel(2 e^t) - log(area * collar_volume_factor(e^t)),
+    t = log x.  The left side falls from +inf at 0 and the right side
+    grows from 0, so h is strictly decreasing and the crossing is
+    unique.  Near 0 the kernel is K_n (2x)^(2-n) and the collar factor
+    x, so h is almost linear with slope -(n-1), and the raw gap's span
+    of hundreds of orders of magnitude, where secant steps on the
+    difference overshoot, is gone.  The bracket is seeded at that
+    small-length crossing, x0 = (K_n 2^(2-n) / area)^(1/(n-1)) clamped
+    into [1e-6, 1], as [x0/2, 2 x0], and widens by factors of 8 down
+    and 2 up until it straddles.  Brent's method keeps a bracket, so no
+    step leaves it; about 8 kernel quadratures pin t to 1e-15.  A kernel
+    value of 0 (past the argument cap of the quadrature) reads as
+    h = -inf.  Kernel values are kept, so the returned bound is the one
+    computed at the returned crossing length.
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
     if not area > 0.0:
         raise ValueError("area must be positive")
+    log_area = math.log(area)
+    kernel_at: dict[float, float] = {}
 
-    def gap(x: float) -> float:
-        return volume_kernel(n, 2.0 * x, cfg).value - area * collar_volume_factor(n, x)
+    def kernel(t: float) -> float:
+        if t not in kernel_at:
+            kernel_at[t] = volume_kernel(n, 2.0 * math.exp(t), cfg).value
+        return kernel_at[t]
 
-    lo, hi = 1e-6, 1.0
-    while gap(lo) <= 0.0:
-        lo /= 8.0
-        if lo < 1e-300:
+    def h(t: float) -> float:
+        f = kernel(t)
+        if f <= 0.0:
+            return -math.inf
+        return math.log(f) - log_area - math.log(collar_volume_factor(n, math.exp(t)))
+
+    t0 = (
+        math.log(small_length_constant(n)) + (2.0 - n) * _LOG2 - log_area
+    ) / (n - 1.0)
+    t0 = min(max(t0, _LOG_SEED_LO), 0.0)
+    lo, hi = t0 - _LOG2, t0 + _LOG2
+    while h(lo) <= 0.0:
+        lo -= _LOG8
+        if lo < _LOG_BRACKET_LO:
             raise NonConvergenceError(
                 "could not bracket the collar crossing from below",
                 math.nan,
                 math.nan,
             )
-    while gap(hi) > 0.0:
-        hi *= 2.0
-        if hi > 50.0:
+    while h(hi) > 0.0:
+        hi += _LOG2
+        if hi > _LOG_BRACKET_HI:
             raise NonConvergenceError(
                 "could not bracket the collar crossing below width 50",
                 math.nan,
                 math.nan,
             )
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x_star = 0.5 * (lo + hi)
-    bound = volume_kernel(n, 2.0 * x_star, cfg).value
-    return BoundResult(x_star, bound, power_law_floor(n, area))
+    t_star, info = brentq(
+        h, lo, hi, xtol=_T_TOL, rtol=_T_RTOL, full_output=True, disp=False
+    )
+    if not info.converged:
+        raise NonConvergenceError(
+            "collar crossing did not converge", math.exp(t_star), math.nan
+        )
+    return BoundResult(math.exp(t_star), kernel(t_star), power_law_floor(n, area))
 
 
 def shortest_ortho_bound(

@@ -94,15 +94,75 @@ def test_volume_bound_sphere_area():
     assert res.power_floor == pytest.approx(math.pi, rel=1e-12)
 
 
-@pytest.mark.parametrize("n,area", [(3, 4.0 * math.pi), (4, 10.0), (5, 100.0)])
+@pytest.mark.parametrize(
+    "n,area",
+    [
+        (3, 4.0 * math.pi),
+        (4, 10.0),
+        (5, 100.0),
+        (3, 1e-12),
+        (3, 1e12),
+        (12, 1.0),
+        (20, 100.0),
+    ],
+)
 def test_volume_bound_crossing_residual(n, area):
     # At the reported crossing the two sides of the defining equation
-    # must agree to the bisection resolution.
+    # must agree to the kernel's quadrature tolerance; the root itself
+    # is pinned to 1e-15 relative, far below it.
     res = volume_bound(n, area, DEFAULT_CONFIG)
     left = volume_kernel(n, 2.0 * res.crossing_length, DEFAULT_CONFIG).value
     right = area * collar_volume_factor(n, res.crossing_length)
     assert left == pytest.approx(right, rel=1e-8)
     assert res.bound == pytest.approx(left, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,area", [(3, 4.0 * math.pi), (4, 10.0), (5, 100.0)])
+def test_volume_bound_kernel_calls(n, area, monkeypatch):
+    # Brent's method in log-log coordinates, seeded at the small-length
+    # crossing, needs about 8 kernel quadratures; the 60-step bisection
+    # it replaced needed 63.
+    calls = []
+
+    def counting_kernel(dim, l, cfg=DEFAULT_CONFIG):
+        calls.append(l)
+        return volume_kernel(dim, l, cfg)
+
+    monkeypatch.setattr("orthovol.bounds.volume_kernel", counting_kernel)
+    res = volume_bound(n, area, DEFAULT_CONFIG)
+    assert len(calls) <= 12
+    assert len(set(calls)) == len(calls)
+    assert 2.0 * res.crossing_length in calls
+
+
+# (n, area, crossing_length, bound) from 25-digit mpmath solves of the
+# crossing equation, one per dimension
+HIGH_PRECISION_BOUNDS = [
+    (3, 4.04389, 3.740426249589695798350972e-1, 1.585128544328168123420149),
+    (4, 9.34405, 2.75228544361136883771399e-1, 2.671778726306728733857547),
+    (5, 117.88, 1.52673942278295170401668e-1, 1.828015703129154967054443e1),
+    (6, 846.318, 1.149735198836249270548635e-1, 9.838530238049696380139049e1),
+]
+
+
+@pytest.mark.parametrize("n,area,crossing,bound", HIGH_PRECISION_BOUNDS)
+def test_volume_bound_high_precision_reference(n, area, crossing, bound):
+    res = volume_bound(n, area, DEFAULT_CONFIG)
+    assert res.crossing_length == pytest.approx(crossing, rel=1e-12)
+    assert res.bound == pytest.approx(bound, rel=1e-12)
+
+
+def test_volume_bound_tiny_area_takes_no_log_of_zero():
+    # At n = 3 and area 1e-40 the crossing lies past the kernel
+    # quadrature's argument cap, where the kernel reads 0.  That must
+    # come out as a positive bound or NonConvergenceError, never as a
+    # bound of 0 or a math-domain error from log(0).
+    try:
+        res = volume_bound(3, 1e-40, DEFAULT_CONFIG)
+    except NonConvergenceError:
+        return
+    assert math.isfinite(res.crossing_length)
+    assert res.bound > 0.0
 
 
 def test_volume_bound_monotone_in_area():
@@ -144,6 +204,8 @@ def test_volume_bound_validation():
         volume_bound(3, 0.0, DEFAULT_CONFIG)
     with pytest.raises(ValueError):
         volume_bound(3, -4.0, DEFAULT_CONFIG)
+    with pytest.raises(ValueError):
+        volume_bound(3, float("nan"), DEFAULT_CONFIG)
 
 
 def test_volume_bound_bracket_failure():

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .quadrature import DEFAULT_CONFIG, NonConvergenceError, QuadratureConfig
 from .volume_kernel import small_length_constant, volume_kernel
 
@@ -32,9 +30,68 @@ _LOG8 = math.log(8.0)
 _LOG_SEED_LO = math.log(1e-6)
 _LOG_BRACKET_LO = math.log(1e-300)
 _LOG_BRACKET_HI = math.log(50.0)
-# absolute tolerance on t (relative on x) and brentq's least rtol, 4 eps
+# absolute tolerance on t (relative on x) and the least rtol, 4 eps
 _T_TOL = 1e-15
 _T_RTOL = 8.9e-16
+_MAXITER = 100
+
+
+def _brentq(f, xa, xb, xtol, rtol):
+    """Brent's zero finder on a bracket [xa, xb]: (root, converged).
+
+    Port of scipy's brentq.c (BSD licence; Brent, Algorithms for
+    Minimization without Derivatives, 1973): it takes the same steps,
+    so it calls f at the same points.  A zero denominator in the
+    interpolation, which in C yields inf or nan and fails the step test,
+    falls back to a bisection step; infinite values of f go through the
+    same IEEE arithmetic as in C.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre, True
+    if fcur == 0.0:
+        return xcur, True
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if (
+            fpre != 0.0
+            and fcur != 0.0
+            and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                        dblk * dpre * (fblk - fpre)
+                    )
+            except ZeroDivisionError:
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    return xcur, False
 
 
 def collar_volume_factor(n: int, r: float) -> float:
@@ -145,10 +202,8 @@ def volume_bound(
                 math.nan,
                 math.nan,
             )
-    t_star, info = brentq(
-        h, lo, hi, xtol=_T_TOL, rtol=_T_RTOL, full_output=True, disp=False
-    )
-    if not info.converged:
+    t_star, converged = _brentq(h, lo, hi, _T_TOL, _T_RTOL)
+    if not converged:
         raise NonConvergenceError(
             "collar crossing did not converge", math.exp(t_star), math.nan
         )

@@ -15,12 +15,9 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 from .bounds import collar_volume_factor, volume_bound
 from .inner_kernel import inner_kernel, inner_kernel_integral
 from .quadrature import NonConvergenceError, QuadratureConfig
-from .selftest import run_selftest
 from .spectrum import parse_spectrum, spectrum_volume
 from .volume_kernel import small_length_constant, volume_kernel
 
@@ -93,6 +90,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError("need at least 2 steps")
     if not 0.0 < args.lmin < args.lmax:
         raise ValueError("need 0 < lmin < lmax")
+    import numpy as np
+
     if args.scale == "log":
         grid = np.geomspace(args.lmin, args.lmax, args.steps)
     else:
@@ -129,6 +128,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_selftest
+
     failures = run_selftest(full=args.full)
     return 1 if failures else 0
 

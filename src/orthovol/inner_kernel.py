@@ -27,8 +27,8 @@ __all__ = [
 
 
 def _check_ratio(b: float) -> None:
-    if not b > 1.0:
-        raise ValueError("half-width ratio must exceed 1")
+    if not 1.0 < b < math.inf:
+        raise ValueError("half-width ratio must be finite and exceed 1")
 
 
 def inner_kernel(n: int, b: float) -> float:

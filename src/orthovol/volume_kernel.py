@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .inner_kernel import _log_cross_ratio, inner_kernel
 from .quadrature import DEFAULT_CONFIG, KernelValue, NonConvergenceError, \
     QuadratureConfig, adaptive_quad
@@ -72,6 +70,8 @@ def chord_length_nd(n: int, x, y, a: float) -> float:
     from the origin to the chord's line, and dividing through by
     sqrt(1 - r^2) rescales the two sphere crossings onto the line.
     """
+    import numpy as np
+
     if n < 3:
         raise ValueError("dimension must be >= 3")
     if not a > 1.0:
@@ -105,8 +105,8 @@ def _shape_factor(n: int) -> float:
 def _check_kernel_args(n: int, l: float, least_n: int = 3) -> None:
     if n < least_n:
         raise ValueError(f"dimension must be >= {least_n}")
-    if not l > 0.0:
-        raise ValueError("length must be positive")
+    if not 0.0 < l < math.inf:
+        raise ValueError("length must be positive and finite")
 
 
 def volume_kernel_radial(
@@ -245,6 +245,8 @@ def volume_kernel_montecarlo(
         raise ValueError("length below 0.3 needs too many samples; use >= 0.3")
     if samples < 1:
         raise ValueError("need at least one sample")
+    import numpy as np
+
     a = math.exp(l)
     d = n - 1
     rng = np.random.default_rng(seed)

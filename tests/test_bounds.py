@@ -135,6 +135,31 @@ def test_volume_bound_kernel_calls(n, area, monkeypatch):
     assert 2.0 * res.crossing_length in calls
 
 
+@pytest.mark.parametrize(
+    "f,lo,hi",
+    [
+        (lambda t: -2.0 * t - 1.0 + 0.01 * math.sin(5.0 * t), -3.0, 2.0),
+        (lambda t: 1.0 - t ** 3, 0.0, 10.0),
+        (lambda t: math.exp(-t) - 0.3, -1.0, 40.0),
+        # -inf past the cut, as for a kernel value of 0
+        (lambda t: 4.0 - t if t < 5.0 else -math.inf, 0.0, 8.0),
+    ],
+)
+def test_brent_port_takes_scipys_steps(f, lo, hi):
+    from scipy.optimize import brentq
+
+    from orthovol.bounds import _T_RTOL, _T_TOL, _brentq
+
+    ours, theirs = [], []
+    root, converged = _brentq(lambda t: ours.append(t) or f(t), lo, hi, _T_TOL, _T_RTOL)
+    ref, info = brentq(
+        lambda t: theirs.append(t) or f(t), lo, hi, xtol=_T_TOL, rtol=_T_RTOL,
+        full_output=True, disp=False,
+    )
+    assert ours == theirs
+    assert (root, converged) == (ref, info.converged)
+
+
 # (n, area, crossing_length, bound) from 25-digit mpmath solves of the
 # crossing equation, one per dimension
 HIGH_PRECISION_BOUNDS = [

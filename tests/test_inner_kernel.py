@@ -67,6 +67,10 @@ def test_rejects_bad_ratio():
             fn(0.5)
     with pytest.raises(ValueError):
         inner_kernel(3, 1.0)
+    # all three used to return nan at an infinite ratio
+    for fn in (inner_kernel_3d, inner_kernel_4d, lambda b: inner_kernel(5, b)):
+        with pytest.raises(ValueError):
+            fn(math.inf)
 
 
 @pytest.mark.parametrize("b", [1.01, 1.1, 2.0, 10.0, 1000.0])

@@ -1,6 +1,7 @@
 """Tests for spectrum file parsing, the identity sum, and the CLI."""
 
 import math
+import os
 import subprocess
 import sys
 
@@ -215,6 +216,8 @@ def test_cli_exit_code_bad_values(capsys):
     assert main(["fn", "-n", "3", "-l", "-1"]) == 2
     assert main(["fn", "-n", "1", "-l", "1"]) == 2
     assert main(["bound", "-n", "3", "-A", "0"]) == 2
+    assert main(["fn", "-n", "3", "-l", "inf"]) == 2
+    assert main(["mn", "-n", "3", "-b", "inf"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -264,3 +267,22 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == pytest.approx(math.pi / 2.0, rel=1e-15)
+
+
+def test_cli_runs_without_scipy_or_numpy():
+    # kernel values and bound solves are pure Python: a fresh process
+    # that runs them must not have imported scipy or numpy
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    script = (
+        "import sys\n"
+        "from orthovol.cli import main\n"
+        "assert main(['fn', '-n', '3', '-l', '1']) == 0\n"
+        "assert main(['bound', '-n', '3', '-A', '4']) == 0\n"
+        "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

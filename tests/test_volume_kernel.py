@@ -219,6 +219,13 @@ def test_dispatcher_validation():
         volume_kernel(3, 0.0, DEFAULT_CONFIG)
     with pytest.raises(ValueError):
         volume_kernel(3, -1.0, DEFAULT_CONFIG)
+    # an infinite length used to give 0 with error 0 (n >= 3) or nan
+    for n in (2, 3):
+        with pytest.raises(ValueError):
+            volume_kernel(n, math.inf, DEFAULT_CONFIG)
+    for fn in (volume_kernel_radial, volume_kernel_alt):
+        with pytest.raises(ValueError):
+            fn(3, math.inf)
 
 
 def test_err_estimate_within_tolerance():

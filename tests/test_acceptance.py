@@ -28,6 +28,7 @@ from orthovol import (
     volume_kernel_montecarlo,
     volume_kernel_radial,
 )
+from orthovol.inner_kernel import _far_field_coefficients
 
 ORACLE_CFG = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-300)
 PURE_REL = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-300)
@@ -103,15 +104,20 @@ def test_c04_inner_kernel_far_field_asymptote():
     e_n = 2 for even n and 1 for odd n, tabulated in
     FAR_FIELD_OFFSET_TABLE.  So b^(n-1)/log(b) inner_kernel(n, b) equals
     (4/(n-1)) (1 + r_n / log b), not the limit 4/(n-1), which it misses
-    by 5.8% to 9.3% at b = 1e6 for n = 3..8.  The closed form meets the
-    two-term value to 6.5e-11 there: the next term is 1e-12 to 1e-11,
-    the rest is rounding in the closed form.  A 1% error in 4/(n-1) or
-    in r_n moves the value by at least 5e-4.
+    by 5.8% to 9.3% at b = 1e6 for n = 3..8.  inner_kernel (there the
+    far-field series) meets the two-term value to 1.0e-12 to 9.6e-12,
+    the size of the next term; the closed form missed it by up to 6.5e-11
+    there, most of it rounding.  A 1% error in 4/(n-1) or in r_n moves
+    the value by at least 5e-4.  The series' own leading coefficients
+    give the same offset, r_n = beta_0 / alpha_0 (stored times 9^-j, which
+    is 1 at j = 0).
     """
     for n, r in FAR_FIELD_OFFSET_TABLE:
         want = 4.0 / (n - 1) * (1.0 + r / math.log(1e6))
         got = 1e6 ** (n - 1) / math.log(1e6) * inner_kernel(n, 1e6)
         assert got == pytest.approx(want, rel=1e-6)
+        alpha, beta = _far_field_coefficients(n)
+        assert beta[0] / alpha[0] == pytest.approx(r, rel=1e-15)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -1,7 +1,11 @@
-"""Tests for the closed-form inner kernel, its specializations, and the
-defining-integral oracle."""
+"""Tests for the inner kernel's two branches (closed form below b = 3,
+far-field series from there on), its specializations, the defining-integral
+oracle and a high-precision reference."""
 
+import json
 import math
+import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +19,15 @@ from orthovol import (
     inner_kernel_asymptotics,
     inner_kernel_integral,
 )
+from orthovol.inner_kernel import (
+    _closed_form,
+    _far_field,
+    _far_field_coefficients,
+)
 
+REFERENCE = os.path.join(
+    os.path.dirname(__file__), "data", "inner_kernel_reference.json"
+)
 ORACLE_CFG = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-300)
 
 
@@ -76,7 +88,7 @@ def test_rejects_bad_ratio():
 @pytest.mark.parametrize("b", [1.01, 1.1, 2.0, 10.0, 1000.0])
 def test_specializations_match_general(b):
     # The dimension-3 and dimension-4 shortcuts must agree with the
-    # general closed form to near machine precision across the whole
+    # general kernel to near machine precision across the whole
     # ratio range, including the cancellation-prone ends.
     assert inner_kernel_3d(b) == pytest.approx(inner_kernel(3, b), rel=1e-12)
     assert inner_kernel_4d(b) == pytest.approx(inner_kernel(4, b), rel=1e-12)
@@ -100,10 +112,170 @@ def test_integral_oracle_matches_closed_form(n, b):
 
 
 def test_positive_and_strictly_decreasing():
+    # The grid crosses the switch between the branches at b = 3, once on
+    # the coarse grid and at eleven points 3e-12 apart, where m_n falls
+    # by about (n-1) 1e-12 relative per step.
+    seam = [3.0 * (1.0 + k * 1e-12) for k in range(-5, 6)]
+    grid = sorted([*np.geomspace(1.001, 1e4, 120), *seam])
     for n in range(3, 9):
-        values = [inner_kernel(n, b) for b in np.geomspace(1.001, 1e4, 120)]
+        values = [inner_kernel(n, b) for b in grid]
         assert all(v > 0.0 for v in values)
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def _reference_points():
+    with open(REFERENCE) as fh:
+        return json.load(fh)["points"]
+
+
+@pytest.mark.parametrize("n", sorted({p["n"] for p in _reference_points()}))
+def test_matches_high_precision_reference(n):
+    """Both branches against tests/data/inner_kernel_reference.json.
+
+    The file holds the closed form evaluated in mpmath at 40 + (n+1)
+    max(1, log10 b) digits (tests/gen_inner_reference.py), on b from
+    1.001 to 1e12, either side of b = 3, and at 3.005, 3.2 and 4.1, where
+    the series misses by 2.6e-15 to 3.1e-15 at n = 100 unless it puts
+    back the rounding of 9/b^2.  Before the far-field series the closed
+    form missed it by up to 4e-5 (n = 3, b = 1e12) and raised
+    OverflowError at (100, 1e3).
+    """
+    worst = 0.0
+    for p in _reference_points():
+        if p["n"] == n:
+            want = float(p["value"])
+            worst = max(worst, abs(inner_kernel(n, p["b"]) - want) / want)
+    assert worst <= 2e-15
+
+
+def _series_coefficients(n):
+    # alpha_j, beta_j of b^(n-1) m_n(b) = sum_j b^(-2j) (alpha_j log b + beta_j);
+    # _far_field_coefficients stores them times 9^-j
+    alpha, beta = _far_field_coefficients(n)
+    return (
+        [a * 9.0**j for j, a in enumerate(alpha)],
+        [c * 9.0**j for j, c in enumerate(beta)],
+    )
+
+
+@pytest.mark.parametrize(
+    "n,b",
+    [(60, 1e6), (30, 1e12), (60, 1.8e5), (100, 1e3)]
+    + [(3, 1e154), (3, 1e160), (3, 1e300)],
+)
+def test_far_field_never_overflows(n, b):
+    """The closed form raised at all of these points: OverflowError from a
+    power of b or b +- 1, or, for n = 3, ValueError from a truncated log
+    whose argument rounds to 1.  The value is finite, and 0.0 only where
+    the series sum S times b^(1-n), taken through its logarithm, is below
+    half the smallest subnormal; elsewhere it meets that value to the
+    rounding of a subnormal and the 1e-13 of the exp() estimate.
+    """
+    alpha, beta = _series_coefficients(n)
+    lb = math.log(b)
+    terms = zip(range(len(alpha)), alpha, beta)
+    series = sum(b ** (-2 * j) * (a * lb + c) for j, a, c in terms)
+    log_want = math.log(series) - (n - 1) * lb
+    got = inner_kernel(n, b)
+    assert math.isfinite(got) and got >= 0.0
+    if log_want < -1075 * math.log(2.0):
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(math.exp(log_want), rel=1e-12, abs=2.0**-1074)
+
+
+@pytest.mark.parametrize("n", range(3, 61))
+def test_branches_agree_at_the_switch(n):
+    # Both branches at b = 3 (1 -+ 2^-40), just inside the closed form's
+    # side and just inside the series' side.
+    below, above = 3.0 * (1.0 - 2.0**-40), 3.0 * (1.0 + 2.0**-40)
+    for b in (below, above):
+        assert _far_field(n, b) == pytest.approx(_closed_form(n, b), rel=2e-15, abs=0)
+    assert inner_kernel(n, below) == _closed_form(n, below)
+    assert inner_kernel(n, 3.0) == _far_field(n, 3.0)
+
+
+def test_far_field_leading_coefficients():
+    # alpha_0 = 4/(n-1) is the far-field log coefficient, beta_0/alpha_0 = r_n
+    for n in range(3, 9):
+        alpha, beta = _series_coefficients(n)
+        far_log = inner_kernel_asymptotics(n).far_log_coefficient
+        assert alpha[0] == pytest.approx(far_log, rel=1e-15)
+        assert beta[0] / alpha[0] == pytest.approx(far_offset(n), rel=1e-15)
+
+
+# log 2 to 60 digits, for the exact coefficients below
+LOG2 = Fraction("0.693147180559945309417232121458176568075500134360255254120680")
+
+
+def exact_series_coefficients(n, count):
+    """alpha_j, and beta_j as p_j + q_j log 2, in rational arithmetic.
+
+    Straight from the formula in _far_field_coefficients, with
+    c_k = C(n+k-1, k), H_m summed exactly and
+    H_(m+1/2) = 2 H_(2m+1) - H_m - 2 log 2.
+    """
+    harmonic = [Fraction(0)]
+    for k in range(1, n + 2 * count + 2):
+        harmonic.append(harmonic[-1] + Fraction(1, k))
+
+    def h(twice_x):
+        # H_x for x = twice_x / 2, as (rational part, log 2 coefficient)
+        if twice_x % 2 == 0:
+            return harmonic[twice_x // 2], 0
+        m = twice_x // 2
+        return 2 * harmonic[2 * m + 1] - harmonic[m], -2
+
+    def c(k):
+        return math.comb(n + k - 1, k)
+
+    out = []
+    for j in range(count):
+        q = n + 2 * j
+        alpha = Fraction(4 * c(2 * j), (2 * j + 1) * (q - 1))
+        (hq, lq), (hj, lj) = h(q - 1), h(2 * j + 1)
+        sub = sum(
+            Fraction(c(2 * j - 2 * i), i)
+            * (
+                Fraction(2, (2 * j - 2 * i + 1) * (q - 1))
+                + Fraction(2, (2 * j + 1) * (q - 2 * i - 1))
+            )
+            for i in range(1, j + 1)
+        )
+        out.append((alpha, alpha / 2 * (hq + hj) - sub, alpha / 2 * (lq + lj)))
+    return out
+
+
+def test_exact_series_coefficients_match_sympy():
+    # From a sympy series of the closed form in 1/b: n = 3 has alpha_j = 2
+    # and beta_j = {3, 10/3, 101/30, 709/210} - 2 log 2; n = 5 has
+    # alpha_j = {1, 10/3, 7, 12} and beta_j = {7/4, 7, 78/5, 827/30}
+    # - alpha_j log 2.
+    F = Fraction
+    assert exact_series_coefficients(3, 4) == [
+        (2, r, -2) for r in (3, F(10, 3), F(101, 30), F(709, 210))
+    ]
+    alpha_5 = (1, F(10, 3), 7, 12)
+    rational_5 = (F(7, 4), 7, F(78, 5), F(827, 30))
+    assert exact_series_coefficients(5, 4) == [
+        (a, r, -a) for a, r in zip(alpha_5, rational_5)
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 30, 45, 60, 100])
+def test_far_field_coefficients_against_exact(n):
+    # Each stored alpha_j 9^-j log 3 and beta_j 9^-j within 4.5e-16 of the
+    # exact value, relative to the term alpha_j log b + beta_j at b = 3,
+    # where it weighs most.  That needs the rounding of the running
+    # harmonic sums carried along: without it 6.9e-16 at n = 100.
+    alpha, beta = _far_field_coefficients(n)
+    log3 = math.log(3.0)
+    for j, (a, p, q) in enumerate(exact_series_coefficients(n, len(alpha))):
+        scale = Fraction(1, 9**j)
+        want_alpha, want_beta = float(a * scale), float((p + q * LOG2) * scale)
+        term = want_alpha * log3 + want_beta
+        assert abs(alpha[j] - want_alpha) * log3 <= 4.5e-16 * term
+        assert abs(beta[j] - want_beta) <= 4.5e-16 * term
 
 
 def test_near_one_coefficient():
@@ -136,9 +308,9 @@ def test_far_limit_at_finite_ratio():
     b^(n-1)/log(b) inner_kernel(n, b) equals (4/(n-1)) (1 + r_n / log b),
     not 4/(n-1), which it misses by 5.8% to 9.3% at b = 1e6 and, in
     dimension 4, by 10.3% at b = 1e4.  The two-term value is met to
-    6.5e-11 by inner_kernel at b = 1e6, to 1.0e-12 by inner_kernel_3d at
-    b = 1e6 and to 2.1e-8 by inner_kernel_4d at b = 1e4, the size of the
-    next term there.
+    1.0e-12 to 9.6e-12 by inner_kernel at b = 1e6, to 1.0e-12 by
+    inner_kernel_3d at b = 1e6 and to 2.1e-8 by inner_kernel_4d at
+    b = 1e4, the size of the next term there.
     """
     for n in range(3, 9):
         want = 4.0 / (n - 1) * (1.0 + far_offset(n) / math.log(1e6))

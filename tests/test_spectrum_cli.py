@@ -103,6 +103,13 @@ def test_cli_mn_closed_and_oracle(capsys):
     assert float(err_token) <= 1e-9 * closed + 1e-12
 
 
+def test_cli_mn_far_field_below_subnormal(capsys):
+    # m_60(1e6) ~ 1e-354: b^59 overflows, which used to exit 2 with
+    # "error: (34, 'Numerical result out of range')"
+    assert main(["mn", "-n", "60", "-b", "1e6"]) == 0
+    assert float(capsys.readouterr().out) == 0.0
+
+
 def test_cli_kn_single(capsys):
     assert main(["kn", "-n", "5"]) == 0
     out = capsys.readouterr().out.strip()

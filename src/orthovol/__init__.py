@@ -9,16 +9,12 @@ from .bounds import (
     BoundResult,
     collar_volume_factor,
     power_law_floor,
-    shortest_ortho_bound,
     volume_bound,
 )
 from .inner_kernel import (
     KernelAsymptotics,
     inner_kernel,
-    inner_kernel_3d,
-    inner_kernel_4d,
     inner_kernel_asymptotics,
-    inner_kernel_integral,
 )
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -26,27 +22,13 @@ from .quadrature import (
     NonConvergenceError,
     QuadratureConfig,
 )
-from .special import (
-    dilogarithm,
-    gamma_half_integer,
-    harmonic,
-    partial_log_series,
-    rogers_l,
-    sphere_volume,
-    truncated_log,
-)
+from .special import rogers_l
 from .spectrum import SpectrumFormatError, parse_spectrum, spectrum_volume
 from .volume_kernel import (
-    chord_length,
-    chord_length_nd,
     large_length_coefficient,
     small_length_constant,
     surface_kernel,
-    surface_kernel_integral,
     volume_kernel,
-    volume_kernel_alt,
-    volume_kernel_montecarlo,
-    volume_kernel_radial,
 )
 
 __version__ = "0.1.0"
@@ -59,32 +41,16 @@ __all__ = [
     "NonConvergenceError",
     "QuadratureConfig",
     "SpectrumFormatError",
-    "chord_length",
-    "chord_length_nd",
     "collar_volume_factor",
-    "dilogarithm",
-    "gamma_half_integer",
-    "harmonic",
     "inner_kernel",
-    "inner_kernel_3d",
-    "inner_kernel_4d",
     "inner_kernel_asymptotics",
-    "inner_kernel_integral",
     "large_length_coefficient",
     "parse_spectrum",
-    "partial_log_series",
     "power_law_floor",
     "rogers_l",
-    "shortest_ortho_bound",
     "small_length_constant",
     "spectrum_volume",
-    "sphere_volume",
     "surface_kernel",
-    "surface_kernel_integral",
-    "truncated_log",
     "volume_bound",
     "volume_kernel",
-    "volume_kernel_alt",
-    "volume_kernel_montecarlo",
-    "volume_kernel_radial",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "collar_volume_factor",
     "power_law_floor",
     "volume_bound",
-    "shortest_ortho_bound",
     "BoundResult",
 ]
 
@@ -159,9 +158,10 @@ def volume_bound(
     into [1e-6, 1], as [x0/2, 2 x0], and widens by factors of 8 down
     and 2 up until it straddles.  Brent's method keeps a bracket, so no
     step leaves it; about 8 kernel quadratures pin t to 1e-15.  A kernel
-    value of 0 (past the argument cap of the quadrature) reads as
-    h = -inf.  Kernel values are kept, so the returned bound is the one
-    computed at the returned crossing length.
+    value of 0 reads as h = -inf: the quadrature's argument cap zeroes
+    the whole integrand, and so the kernel, for 2x > ln 1e12.  Kernel
+    values are kept, so the returned bound is the one computed at the
+    returned crossing length.
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
@@ -208,15 +208,3 @@ def volume_bound(
             "collar crossing did not converge", math.exp(t_star), math.nan
         )
     return BoundResult(math.exp(t_star), kernel(t_star), power_law_floor(n, area))
-
-
-def shortest_ortho_bound(
-    n: int, l: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
-    """Volume lower bound from the shortest orthogeodesic length alone.
-
-    The kernel is positive and decreasing, so the single term at the
-    shortest length already bounds the full spectrum sum from below.
-    Same code path as the kernel itself.
-    """
-    return volume_kernel(n, l, cfg).value

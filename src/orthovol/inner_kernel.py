@@ -10,9 +10,7 @@ sections.  inner_kernel evaluates it on two branches chosen by b:
   beta_j), whose coefficients are built once per dimension.
 
 Both are within 1e-15 relative of a high-precision evaluation of the
-closed form for n <= 100.  Dimensions 3 and 4 admit shorter
-specializations that double as cross-checks, and the defining double
-integral is kept as a slow oracle.
+closed form for n <= 100.
 """
 
 from __future__ import annotations
@@ -22,14 +20,10 @@ from dataclasses import dataclass
 from functools import cache
 from operator import mul
 
-from .quadrature import DEFAULT_CONFIG, KernelValue, QuadratureConfig, adaptive_quad
 from .special import harmonic, truncated_log
 
 __all__ = [
     "inner_kernel",
-    "inner_kernel_3d",
-    "inner_kernel_4d",
-    "inner_kernel_integral",
     "inner_kernel_asymptotics",
     "KernelAsymptotics",
 ]
@@ -247,123 +241,6 @@ def _far_field(n: int, b: float) -> float:
         shift += e
         k -= step
     return math.ldexp(acc, shift)
-
-
-def inner_kernel_3d(b: float) -> float:
-    """Dimension-3 specialization.
-
-    Rearranged so each log argument stays near 1 for large b (log1p
-    forms) and the b log b growth sits in its own term; the naive
-    grouping cancels nine digits at b = 1000.
-    """
-    _check_ratio(b)
-    b2m1 = (b - 1.0) * (b + 1.0)
-    main = (
-        4.0 * b * math.log(b)
-        + (b + 1.0) ** 2 * math.log1p(1.0 / b)
-        - (b - 1.0) ** 2 * math.log1p(-1.0 / b)
-    ) / (2.0 * b * b2m1)
-    return 2.0 * (1.0 - math.log(2.0)) / b2m1 + main
-
-
-def inner_kernel_4d(b: float) -> float:
-    """Dimension-4 specialization.
-
-    The last group is log((b-1)/(b+1)) + 1/(b+1) + 1/(b-1), which is
-    O(b^-3) with O(1/b) summands; for b >= 2 it is replaced by its
-    even-power series 2 sum_j (2j/(2j+1)) b^-(2j+1) to keep the
-    specialization within 1e-12 of the general form out to b = 1000.
-    """
-    _check_ratio(b)
-    log_ratio = math.log1p(-2.0 / (b + 1.0))
-    t1 = (3.0 + 2.0 * (2.0 * math.log(b + 1.0) - math.log(4.0 * b))) / (b - 1.0) ** 2
-    t2 = (3.0 + 2.0 * (2.0 * math.log(b - 1.0) - math.log(4.0 * b))) / (b + 1.0) ** 2
-    t3 = (log_ratio + b / (b + 1.0) - b / (b - 1.0)) / (2.0 * b * b)
-    if b >= 2.0:
-        y = 1.0 / b
-        tail = 0.0
-        power = y
-        for j in range(1, 60):
-            power *= y * y
-            term = (2.0 * j / (2.0 * j + 1.0)) * power
-            tail += term
-            if term < 1e-18 * tail:
-                break
-        t4 = 2.0 * tail
-    else:
-        t4 = log_ratio + 1.0 / (b + 1.0) + 1.0 / (b - 1.0)
-    return (t1 - t2 + t3 + t4 / 2.0) / 6.0
-
-
-def _log_cross_ratio(u: float, v: float, b: float) -> float:
-    """log of the cross ratio pairing u in (-1, 1) with v > b."""
-    return (
-        math.log(v - 1.0)
-        + math.log(v + 1.0)
-        + math.log(b - u)
-        + math.log(b + u)
-        - math.log(v - b)
-        - math.log(v + b)
-        - math.log(1.0 - u)
-        - math.log(1.0 + u)
-    )
-
-
-def inner_kernel_integral(
-    n: int, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> KernelValue:
-    """Defining double integral of the kernel; the oracle for inner_kernel.
-
-    The outer variable u in (-1, 1) is mapped to xi = (b-1)/(b-u) and the
-    inner variable v in (b, inf) to v = b + (b-u) s/(1-s), so the
-    (b-u)^-(n-1) end spike and the log singularity at v = b both flatten
-    into mild integrable features and the overall (b-1)^-(n-2) growth
-    factors out exactly.  Every integrand factor is assembled from
-    products and ratios of the substituted quantities -- v - b as
-    (b-u) s/(1-s), 1-u as (b-1)(1-xi)/xi, and so on -- because
-    reconstructing v or u first and subtracting loses all digits once
-    b - 1 drops below about 1e-5.  The kink of the log factor at u = 0
-    lands at xi = (b-1)/b and is passed as a subdivision hint.  The
-    relative budget is split 97/3 between the outer pass and the inner
-    passes (run pure-relative), keeping the combined error estimate
-    within the configured tolerance.
-    """
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
-    _check_ratio(b)
-    bm1 = b - 1.0
-    lo = bm1 / (b + 1.0)
-
-    def outer(xi: float) -> float:
-        d = bm1 / xi
-        a_const = (
-            math.log(2.0 * b * xi - bm1)
-            - math.log(1.0 - xi)
-            - math.log(b + 1.0)
-            - math.log(xi - lo)
-        )
-
-        def g(s: float) -> float:
-            oms = 1.0 - s
-            w = d * s / oms
-            s_part = (
-                math.log(bm1 + w)
-                + math.log(b + 1.0 + w)
-                - math.log(w)
-                - math.log(2.0 * b + w)
-            )
-            return (a_const + s_part) * oms ** (n - 2)
-
-        val, _ = adaptive_quad(g, 0.0, 1.0, cfg, rel_scale=0.03, abs_tol=0.0)
-        return val * xi ** (n - 3)
-
-    value, err = adaptive_quad(
-        outer, lo, 1.0, cfg, points=[bm1 / b], rel_scale=0.97, abs_tol=0.0
-    )
-    scale = bm1 ** (n - 2)
-    value /= scale
-    err = err / scale + 0.03 * cfg.rel_tol * abs(value)
-    return KernelValue(value, err)
 
 
 @dataclass(frozen=True)

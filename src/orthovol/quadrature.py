@@ -1,4 +1,4 @@
-"""Adaptive quadrature shared by the kernel evaluators.
+"""Adaptive quadrature behind the volume kernel's two parametrizations.
 
 A pure-Python port of QUADPACK's QAGS routine dqagse (Piessens,
 de Doncker-Kapenga, Ueberhuber and Kahaner, QUADPACK, Springer 1983;
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 __all__ = [
     "QuadratureConfig",
@@ -388,23 +388,16 @@ def adaptive_quad(
     hi: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
-    points: Sequence[float] | None = None,
-    rel_scale: float = 1.0,
     abs_tol: float | None = None,
 ) -> tuple[float, float]:
     """Integrate integrand over (lo, hi) under the config's error policy.
 
-    lo must be finite; hi may be +inf.  points marks increasing
-    interior breakpoints (ignored for an infinite range, as in
-    QUADPACK); each piece is integrated on its own and the values and
-    error estimates are added.
-    rel_scale tightens the relative target for inner integrals of
-    nested quadratures.  abs_tol overrides the config's absolute floor;
-    inner integrals pass 0.0 to force a pure relative target.  Returns
-    (value, err_estimate); raises NonConvergenceError if the estimate
-    misses max(abs target, rel target * |value|).
+    lo must be finite; hi may be +inf.  abs_tol overrides the config's
+    absolute floor, for callers that scale the integral afterwards.
+    Returns (value, err_estimate); raises NonConvergenceError if the
+    estimate misses max(abs target, rel target * |value|).
     """
-    eps_rel = max(cfg.rel_tol * rel_scale, _MIN_REL)
+    eps_rel = max(cfg.rel_tol, _MIN_REL)
     eps_abs = cfg.abs_tol if abs_tol is None else abs_tol
     limit = cfg.max_subdivisions
     if math.isinf(lo):
@@ -414,13 +407,6 @@ def adaptive_quad(
             return integrand(lo + (1.0 - t) / t) / t / t
 
         value, err = _qags(mapped, 0.0, 1.0, eps_abs, eps_rel, limit)
-    elif points:
-        edges = [lo, *points, hi]
-        value = err = 0.0
-        for a, b in zip(edges, edges[1:]):
-            piece, piece_err = _qags(integrand, a, b, eps_abs, eps_rel, limit)
-            value += piece
-            err += piece_err
     else:
         value, err = _qags(integrand, lo, hi, eps_abs, eps_rel, limit)
     target = max(eps_abs, eps_rel * abs(value))

@@ -5,96 +5,33 @@ orthogeodesic of length l contributes a kernel value, and the volume
 is the sum of those values over the orthospectrum.  The kernel is a closed
 Rogers dilogarithm expression for n = 2 and a one-dimensional integral
 of the inner kernel for n >= 3, available in two independent
-parametrizations plus a direct Monte Carlo estimate.  Chord lengths of
-geodesics crossing a concentric spherical shell supply the geometric
-ingredient and are exposed for testing.
+parametrizations.
 """
 
 from __future__ import annotations
 
 import math
 
-from .inner_kernel import _log_cross_ratio, inner_kernel
+from .inner_kernel import inner_kernel
 from .quadrature import DEFAULT_CONFIG, KernelValue, NonConvergenceError, \
     QuadratureConfig, adaptive_quad
 from .special import gamma_half_integer, harmonic, rogers_l, sphere_volume
 
 __all__ = [
-    "chord_length",
-    "chord_length_nd",
     "volume_kernel",
     "volume_kernel_radial",
     "volume_kernel_alt",
-    "volume_kernel_montecarlo",
     "surface_kernel",
-    "surface_kernel_integral",
     "small_length_constant",
     "large_length_coefficient",
 ]
 
-# Inner kernel arguments above this contribute below 1e-50 of the
-# integral; capping avoids overflow in the closed form's powers.
+# The integrands read 0 for inner kernel arguments x > _ARG_CAP.  Every
+# argument is at least e^l, so for l > ln 1e12 (about 27.63) that zeroes
+# the whole integrand and the kernel comes out as exactly 0:
+# `orthovol fn -n 3 -l 30` prints "0 0".  ROADMAP item 2 (the e^(-2l)
+# series) removes the cap.
 _ARG_CAP = 1e12
-
-
-def chord_length(x: float, y: float, a: float) -> float:
-    """Hyperbolic length of the chord from boundary point x to y.
-
-    Upper half-space coordinates on a line through the origin: one
-    endpoint strictly inside the unit sphere, the other strictly
-    outside the concentric sphere of radius a > 1.  The length is half
-    the log of the cross ratio of (x, y) with the two sphere crossings,
-    here in the factored form that keeps every factor positive.
-    """
-    if not a > 1.0:
-        raise ValueError("outer radius must exceed 1")
-    if abs(x) < 1.0 and abs(y) > a:
-        pass
-    elif abs(y) < 1.0 and abs(x) > a:
-        x, y = y, x
-    else:
-        raise ValueError(
-            "one endpoint must lie strictly inside radius 1 and the "
-            "other strictly outside radius a"
-        )
-    num = (y - 1.0) * (y + 1.0) * (x - a) * (x + a)
-    den = (y - a) * (y + a) * (x - 1.0) * (x + 1.0)
-    return 0.5 * math.log(num / den)
-
-
-def chord_length_nd(n: int, x, y, a: float) -> float:
-    """chord_length for endpoints anywhere in the boundary plane R^(n-1).
-
-    Reduces to the collinear case in the chord's own coordinates: s and
-    t are the signed positions along the chord direction, r the distance
-    from the origin to the chord's line, and dividing through by
-    sqrt(1 - r^2) rescales the two sphere crossings onto the line.
-    """
-    import numpy as np
-
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
-    if not a > 1.0:
-        raise ValueError("outer radius must exceed 1")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (n - 1,) or y.shape != (n - 1,):
-        raise ValueError("endpoints must be vectors of length n - 1")
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if not ((nx < 1.0 and ny > a) or (ny < 1.0 and nx > a)):
-        raise ValueError(
-            "one endpoint must lie strictly inside radius 1 and the "
-            "other strictly outside radius a"
-        )
-    diff = y - x
-    dist = float(np.linalg.norm(diff))
-    u = diff / dist
-    s = float(x @ u)
-    perp = x - s * u
-    r2 = float(perp @ perp)
-    r1 = math.sqrt(1.0 - r2)
-    return chord_length(s / r1, (s + dist) / r1, math.sqrt(a * a - r2) / r1)
 
 
 def _shape_factor(n: int) -> float:
@@ -185,121 +122,6 @@ def surface_kernel(l: float) -> float:
         raise ValueError("length must be positive")
     sech2 = 1.0 / math.cosh(0.5 * l) ** 2
     return 4.0 / math.pi * rogers_l(sech2)
-
-
-def surface_kernel_integral(
-    l: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> KernelValue:
-    """Double-integral oracle for surface_kernel.
-
-    (2/pi) int_(-1)^1 int_a^inf log_cross(u, v) / (v - u)^2 dv du with
-    a = e^l, the same positively-oriented log cross ratio as the inner
-    kernel oracle; the two sign sectors of the chord pairing contribute
-    equally, hence the factor 2.  Tail compactified by v = a + t/(1-t);
-    relative budget split 97/3 between outer and inner passes.
-    """
-    if not l > 0.0:
-        raise ValueError("length must be positive")
-    a = math.exp(l)
-
-    def inner(u: float) -> float:
-        def tail(t: float) -> float:
-            omt = 1.0 - t
-            v = a + t / omt
-            return _log_cross_ratio(u, v, a) / (v - u) ** 2 / (omt * omt)
-
-        val, _ = adaptive_quad(tail, 0.0, 1.0, cfg, rel_scale=0.03, abs_tol=0.0)
-        return val
-
-    value, err = adaptive_quad(
-        inner, -1.0, 1.0, cfg, points=[0.0], rel_scale=0.97, abs_tol=0.0
-    )
-    scale = 2.0 / math.pi
-    return KernelValue(scale * value, scale * (err + 0.03 * cfg.rel_tol * abs(value)))
-
-
-def volume_kernel_montecarlo(
-    n: int,
-    l: float,
-    samples: int = 1_000_000,
-    seed: int = 12345,
-) -> KernelValue:
-    """Direct Monte Carlo estimate of the volume kernel, n in {3, 4}.
-
-    Samples chords against the shell of radius a = e^l: one endpoint
-    uniform in the unit ball of the boundary plane, the other drawn
-    from the power-law density (n-1) a^(n-1) rho^-n on rho > a over a
-    uniform direction.  Each chord is weighted by its shell-crossing
-    length times the measure ratio (rho^2 / |y - x|^2)^(n-1), and the
-    mean is normalized by 4 / V(n-1).  The error estimate is one
-    standard error; if it exceeds 1 percent of the estimate the run
-    raises NonConvergenceError.
-
-    Kept separate from the quadrature paths on purpose: it shares no
-    code with them, so agreement is evidence about the formulas, not
-    the plumbing.
-    """
-    if n not in (3, 4):
-        raise ValueError("direct sampling supported for dimensions 3 and 4")
-    if not l >= 0.3:
-        raise ValueError("length below 0.3 needs too many samples; use >= 0.3")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    import numpy as np
-
-    a = math.exp(l)
-    d = n - 1
-    rng = np.random.default_rng(seed)
-    surf = sphere_volume(d - 1)
-    vol_ball = surf / d
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk = 1_000_000
-    while done < samples:
-        c = min(chunk, samples - done)
-        xdir = rng.standard_normal((c, d))
-        xdir /= np.linalg.norm(xdir, axis=1)[:, None]
-        xrad = rng.random(c) ** (1.0 / d)
-        x = xdir * xrad[:, None]
-        ydir = rng.standard_normal((c, d))
-        ydir /= np.linalg.norm(ydir, axis=1)[:, None]
-        rho = a * rng.random(c) ** (-1.0 / (n - 1.0))
-        y = ydir * rho[:, None]
-        diff = y - x
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-        dist = np.sqrt(dist2)
-        s = np.einsum("ij,ij->i", x, diff) / dist
-        t = np.einsum("ij,ij->i", y, diff) / dist
-        r2 = np.einsum("ij,ij->i", x, x) - s * s
-        r2 = np.clip(r2, 0.0, None)
-        r1sq = 1.0 - r2
-        rasq = a * a - r2
-        length = 0.5 * np.log(
-            (t * t - r1sq) * (s * s - rasq) / ((t * t - rasq) * (s * s - r1sq))
-        )
-        w = (
-            length
-            * vol_ball
-            * surf
-            / ((n - 1.0) * a ** (n - 1.0))
-            * (rho * rho / dist2) ** (n - 1.0)
-        )
-        total += float(np.sum(w))
-        total_sq += float(np.sum(w * w))
-        done += c
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0) / samples
-    scale = 4.0 / sphere_volume(n - 1)
-    value = scale * mean
-    err = scale * math.sqrt(var)
-    if err > 0.01 * abs(value):
-        raise NonConvergenceError(
-            f"standard error {err:.3e} above 1 percent of estimate {value:.6e}",
-            value,
-            err,
-        )
-    return KernelValue(value, err)
 
 
 def small_length_constant(n: int) -> float:

@@ -5,30 +5,34 @@ behavior is advertised with.  The two asymptotic laws (the far-field
 inner kernel and the large-length volume kernel) are checked against
 their exact two-term expansions at finite probe points, with the
 second-term constants tabulated below and derived in the test
-docstrings; the companion trend tests pin the approach rates.
+docstrings; the companion trend tests pin the approach rates.  The
+near-boundary limit of the inner kernel (C4) and the small-length limit
+of the surface kernel (C6) are checks of the selftest registry, which
+tests/test_selftest.py runs.
 """
 
 import math
 
 import pytest
 
+from oracles import (
+    inner_kernel_integral,
+    surface_kernel_integral,
+    volume_kernel_montecarlo,
+)
 from orthovol import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     collar_volume_factor,
     inner_kernel,
-    inner_kernel_integral,
     large_length_coefficient,
     small_length_constant,
     surface_kernel,
-    surface_kernel_integral,
     volume_bound,
     volume_kernel,
-    volume_kernel_alt,
-    volume_kernel_montecarlo,
-    volume_kernel_radial,
 )
 from orthovol.inner_kernel import _far_field_coefficients
+from orthovol.volume_kernel import volume_kernel_alt, volume_kernel_radial
 
 ORACLE_CFG = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-300)
 PURE_REL = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-300)
@@ -83,16 +87,6 @@ def test_c03_inner_kernel_oracle_grid(n):
         assert oracle.value == pytest.approx(closed, rel=1e-6)
 
 
-def test_c04_inner_kernel_near_boundary_asymptote():
-    # (b-1)^(n-2) inner_kernel(n, b) at b = 1 + 1e-6 against the value
-    # 2 harmonic(n-2)/((n-1)(n-2))
-    b = 1.0 + 1e-6
-    for n in range(3, 9):
-        want = 2.0 * sum(1.0 / k for k in range(1, n - 1)) / ((n - 1.0) * (n - 2.0))
-        got = (b - 1.0) ** (n - 2) * inner_kernel(n, b)
-        assert got == pytest.approx(want, rel=1e-3)
-
-
 def test_c04_inner_kernel_far_field_asymptote():
     """The log-scaled far field at b = 1e6 against its two-term expansion.
 
@@ -132,7 +126,6 @@ def test_c06_surface_kernel_closed_form():
     for l in (0.1, 1.0, 3.0):
         integral = surface_kernel_integral(l, ORACLE_CFG)
         assert integral.value == pytest.approx(surface_kernel(l), rel=1e-6)
-    assert surface_kernel(1e-4) == pytest.approx(2.0 * math.pi / 3.0, rel=1e-3)
 
 
 def test_c07_small_length_law():

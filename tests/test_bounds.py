@@ -11,7 +11,6 @@ from orthovol import (
     NonConvergenceError,
     collar_volume_factor,
     power_law_floor,
-    shortest_ortho_bound,
     volume_bound,
     volume_kernel,
 )
@@ -237,21 +236,3 @@ def test_volume_bound_bracket_failure():
     with pytest.raises(NonConvergenceError):
         volume_bound(3, float("inf"), DEFAULT_CONFIG)
 
-
-def test_shortest_ortho_bound_small_length():
-    # A single short orthogeodesic of length 0.01 already forces volume
-    # about (pi/2)/0.01.
-    got = shortest_ortho_bound(3, 0.01, DEFAULT_CONFIG)
-    assert got == pytest.approx(157.08, rel=1e-2)
-
-
-def test_shortest_ortho_bound_equals_kernel():
-    assert shortest_ortho_bound(3, 1.0, DEFAULT_CONFIG) == volume_kernel(
-        3, 1.0, DEFAULT_CONFIG
-    ).value
-
-
-def test_shortest_ortho_bound_monotone():
-    assert shortest_ortho_bound(3, 0.5, DEFAULT_CONFIG) > shortest_ortho_bound(
-        3, 1.0, DEFAULT_CONFIG
-    )

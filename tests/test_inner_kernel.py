@@ -10,14 +10,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import inner_kernel_3d, inner_kernel_4d, inner_kernel_integral
 from orthovol import (
     KernelAsymptotics,
     QuadratureConfig,
     inner_kernel,
-    inner_kernel_3d,
-    inner_kernel_4d,
     inner_kernel_asymptotics,
-    inner_kernel_integral,
 )
 from orthovol.inner_kernel import (
     _closed_form,
@@ -278,17 +276,9 @@ def test_far_field_coefficients_against_exact(n):
         assert abs(beta[j] - want_beta) <= 4.5e-16 * term
 
 
-def test_near_one_coefficient():
-    # (b-1)^(n-2) inner_kernel(n, b) -> 2 harmonic(n-2)/((n-1)(n-2)) as b -> 1
-    b = 1.0 + 1e-6
-    for n in range(3, 9):
-        want = inner_kernel_asymptotics(n).near_one_coefficient
-        got = (b - 1.0) ** (n - 2) * inner_kernel(n, b)
-        assert got == pytest.approx(want, rel=1e-3)
-
-
 def test_near_one_coefficient_via_integral():
-    # Same limit probed through the defining integral, dimension 5:
+    # The near-boundary limit (the selftest registry's near_one_limit)
+    # probed through the defining integral, dimension 5:
     # (b-1)^3 inner_kernel(5, b) at b = 1 + 1e-5 should give 11/36.
     b = 1.0 + 1e-5
     got = inner_kernel_integral(5, b, ORACLE_CFG)

@@ -1,9 +1,9 @@
 """Tests for the QUADPACK QAGS port behind adaptive_quad.
 
-scipy's quad wraps the original QUADPACK, so on a finite range without
-breakpoints it must make the same integrand calls and return the same
-numbers.  The closed-form cases need the epsilon extrapolation (end-point
-singularities), the infinite-range map, and the breakpoint split.
+scipy's quad wraps the original QUADPACK, so on a finite range it must
+make the same integrand calls and return the same numbers.  The
+closed-form cases need the epsilon extrapolation (end-point
+singularities) and the infinite-range map.
 """
 
 import math
@@ -122,23 +122,6 @@ def test_infinite_upper_limit():
     assert err <= 1e-9
     with pytest.raises(ValueError):
         adaptive_quad(math.exp, -math.inf, 0.0)
-
-
-def test_breakpoints_split_the_range():
-    # a jump at 0.3: each piece is smooth, so the split pays
-    def f(x):
-        return x if x < 0.3 else math.exp(x)
-
-    exact = 0.045 + math.e - math.exp(0.3)
-    cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
-    split = Counting(f)
-    value, err = adaptive_quad(split, 0.0, 1.0, cfg, points=[0.3])
-    assert value == pytest.approx(exact, rel=1e-14)
-    assert err <= 1e-12 * exact
-    assert split.calls == 42  # one 21-point rule per piece
-    whole = Counting(f)
-    assert adaptive_quad(whole, 0.0, 1.0, cfg)[0] == pytest.approx(exact, rel=1e-12)
-    assert whole.calls > 10 * split.calls
 
 
 @pytest.mark.parametrize(

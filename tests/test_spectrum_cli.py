@@ -2,20 +2,23 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from orthovol import (
     DEFAULT_CONFIG,
     SpectrumFormatError,
+    inner_kernel,
     parse_spectrum,
     small_length_constant,
     spectrum_volume,
     volume_kernel,
 )
-from orthovol.cli import main
+from orthovol.cli import _length_grid, main
 
 SAMPLE = """\
 # toy spectrum
@@ -95,12 +98,13 @@ def test_cli_fn_dimension_two_exact(capsys):
 
 
 def test_cli_mn_closed_and_oracle(capsys):
+    # mn prints the closed form; its integral oracle is no longer a CLI
+    # option (tests/oracles.py holds it)
     assert main(["mn", "-n", "3", "-b", "2"]) == 0
-    closed = float(capsys.readouterr().out.strip())
-    assert main(["mn", "-n", "3", "-b", "2", "--oracle"]) == 0
-    value_token, err_token = capsys.readouterr().out.split()
-    assert float(value_token) == pytest.approx(closed, rel=1e-9)
-    assert float(err_token) <= 1e-9 * closed + 1e-12
+    assert float(capsys.readouterr().out) == inner_kernel(3, 2.0)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["mn", "-n", "3", "-b", "2", "--oracle"])
+    assert exc_info.value.code == 2
 
 
 def test_cli_mn_far_field_below_subnormal(capsys):
@@ -230,7 +234,7 @@ def test_cli_exit_code_bad_values(capsys):
 
 
 def test_cli_exit_code_non_convergence(capsys):
-    assert main(["mn", "-n", "3", "-b", "2", "--oracle", "--maxsub", "1"]) == 3
+    assert main(["fn", "-n", "3", "-l", "1", "--maxsub", "1"]) == 3
     assert "error:" in capsys.readouterr().err
 
 
@@ -265,6 +269,10 @@ def test_cli_selftest_fast(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "checks passed" in out
+    # the slow oracle suite moved to pytest
+    with pytest.raises(SystemExit) as exc_info:
+        main(["selftest", "--full"])
+    assert exc_info.value.code == 2
 
 
 def test_console_script_installed():
@@ -277,19 +285,53 @@ def test_console_script_installed():
 
 
 def test_cli_runs_without_scipy_or_numpy():
-    # kernel values and bound solves are pure Python: a fresh process
-    # that runs them must not have imported scipy or numpy
+    # the package has no runtime dependency: a fresh process that imports
+    # it, then runs kernel values, a bound solve, a log-scale table and the
+    # selftest, must not have imported scipy or numpy at any point
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     script = (
-        "import sys\n"
+        "import os, sys\n"
+        "def loaded():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')]\n"
+        "import orthovol\n"
+        "print('import', loaded())\n"
         "from orthovol.cli import main\n"
         "assert main(['fn', '-n', '3', '-l', '1']) == 0\n"
         "assert main(['bound', '-n', '3', '-A', '4']) == 0\n"
-        "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')])\n"
+        "assert main(['table', '-n', '3', '--lmin', '0.1', '--lmax', '5',\n"
+        "             '--scale', 'log', '-o', os.devnull]) == 0\n"
+        "assert main(['selftest']) == 0\n"
+        "print('commands', loaded())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    lines = proc.stdout.splitlines()
+    assert "import []" in lines
+    assert lines[-1] == "commands []"
+
+
+def test_table_grid_matches_numpy():
+    # The grid is built without numpy.  The linear one is linspace bit for
+    # bit.  The log one is within 2 ulp of geomspace wherever math.log10
+    # and numpy's log10 agree at both ends (1 ulp measured; numpy's power
+    # differs from the C library's).  Where they differ by an ulp, every
+    # exponent moves by up to about 3 ulp of the largest |log10 l|, and
+    # 10**x by ln(10) times that, relative: 37 ulp measured near l = 1e-8.
+    rng = random.Random(20261018)
+    for _ in range(500):
+        lmin = 10.0 ** rng.uniform(-8.0, 1.0)
+        lmax = lmin * 10.0 ** rng.uniform(1e-3, 4.0)
+        steps = rng.randint(2, 200)
+        linear = _length_grid(lmin, lmax, steps, "linear")
+        assert linear == np.linspace(lmin, lmax, steps).tolist()
+        log = _length_grid(lmin, lmax, steps, "log")
+        want = np.geomspace(lmin, lmax, steps).tolist()
+        assert (log[0], log[-1]) == (lmin, lmax) == (want[0], want[-1])
+        lo, hi = math.log10(lmin), math.log10(lmax)
+        shift = 0.0
+        if (lo, hi) != (np.log10(lmin), np.log10(lmax)):
+            shift = 3.0 * math.log(10.0) * math.ulp(max(abs(lo), abs(hi)))
+        assert all(abs(a - b) <= 2.0 * math.ulp(b) + shift * b for a, b in zip(log, want))

@@ -8,21 +8,21 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import (
+    chord_length,
+    chord_length_nd,
+    surface_kernel_integral,
+    volume_kernel_montecarlo,
+)
 from orthovol import (
     DEFAULT_CONFIG,
     NonConvergenceError,
     QuadratureConfig,
-    chord_length,
-    chord_length_nd,
     large_length_coefficient,
-    small_length_constant,
     surface_kernel,
-    surface_kernel_integral,
     volume_kernel,
-    volume_kernel_alt,
-    volume_kernel_montecarlo,
-    volume_kernel_radial,
 )
+from orthovol.volume_kernel import volume_kernel_alt, volume_kernel_radial
 
 PURE_REL = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-300)
 
@@ -157,10 +157,6 @@ def test_representations_agree(n, l):
     assert a.value == pytest.approx(b.value, rel=1e-8)
 
 
-def test_surface_kernel_small_length_limit():
-    assert surface_kernel(1e-4) == pytest.approx(2.0 * math.pi / 3.0, rel=1e-3)
-
-
 def test_surface_kernel_special_point():
     # At l = 2 arccosh(sqrt 2) the closed form collapses to pi/3.
     lstar = 2.0 * math.acosh(math.sqrt(2.0))
@@ -177,11 +173,6 @@ def test_surface_kernel_strictly_decreasing():
     vals = [surface_kernel(0.05 * k) for k in range(1, 101)]
     assert all(v > 0.0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_small_length_constants():
-    assert small_length_constant(3) == pytest.approx(math.pi / 2.0, rel=1e-14)
-    assert small_length_constant(4) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_large_length_coefficients():

@@ -158,10 +158,9 @@ def volume_bound(
     into [1e-6, 1], as [x0/2, 2 x0], and widens by factors of 8 down
     and 2 up until it straddles.  Brent's method keeps a bracket, so no
     step leaves it; about 8 kernel quadratures pin t to 1e-15.  A kernel
-    value of 0 reads as h = -inf: the quadrature's argument cap zeroes
-    the whole integrand, and so the kernel, for 2x > ln 1e12.  Kernel
-    values are kept, so the returned bound is the one computed at the
-    returned crossing length.
+    value that underflows to 0, as e^(-(n-1) 2x) does at large n and x,
+    reads as h = -inf.  Kernel values are kept, so the returned bound is
+    the one computed at the returned crossing length.
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")

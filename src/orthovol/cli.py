@@ -145,15 +145,18 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--rtol", type=float, default=1e-9,
-                        help="relative quadrature tolerance")
-    shared.add_argument("--atol", type=float, default=1e-12,
-                        help="absolute quadrature tolerance")
-    shared.add_argument("--maxsub", type=int, default=2000,
-                        help="max quadrature subdivisions")
-    shared.add_argument("--digits", type=int, default=17,
-                        help="significant digits in output")
+    # --digits for every subcommand that prints numbers, the quadrature
+    # flags on top for those that integrate
+    printing = argparse.ArgumentParser(add_help=False)
+    printing.add_argument("--digits", type=int, default=17,
+                          help="significant digits in output")
+    quad = argparse.ArgumentParser(add_help=False, parents=[printing])
+    quad.add_argument("--rtol", type=float, default=1e-9,
+                      help="relative quadrature tolerance")
+    quad.add_argument("--atol", type=float, default=1e-12,
+                      help="absolute quadrature tolerance")
+    quad.add_argument("--maxsub", type=int, default=2000,
+                      help="max quadrature subdivisions")
 
     parser = argparse.ArgumentParser(
         prog="orthovol",
@@ -161,30 +164,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fn", parents=[shared],
+    p = sub.add_parser("fn", parents=[quad],
                        help="volume kernel at a given length")
     p.add_argument("-n", "--dim", type=int, required=True)
     p.add_argument("-l", "--length", type=float, required=True)
     p.set_defaults(func=cmd_fn)
 
-    p = sub.add_parser("mn", parents=[shared],
+    p = sub.add_parser("mn", parents=[printing],
                        help="inner kernel at a given ratio")
     p.add_argument("-n", "--dim", type=int, required=True)
     p.add_argument("-b", "--ratio", type=float, required=True)
     p.set_defaults(func=cmd_mn)
 
-    p = sub.add_parser("kn", parents=[shared],
+    p = sub.add_parser("kn", parents=[printing],
                        help="small-length kernel constants")
     p.add_argument("-n", "--dim", type=int)
     p.set_defaults(func=cmd_kn)
 
-    p = sub.add_parser("bound", parents=[shared],
+    p = sub.add_parser("bound", parents=[quad],
                        help="volume lower bound from boundary area")
     p.add_argument("-n", "--dim", type=int, required=True)
     p.add_argument("-A", "--area", type=float, required=True)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("sum", parents=[shared],
+    p = sub.add_parser("sum", parents=[quad],
                        help="volume from an orthospectrum file")
     p.add_argument("-n", "--dim", type=int, required=True)
     p.add_argument("spectrum", help="file of 'length [multiplicity]' lines")
@@ -193,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignore entries with length above this")
     p.set_defaults(func=cmd_sum)
 
-    p = sub.add_parser("table", parents=[shared],
+    p = sub.add_parser("table", parents=[quad],
                        help="CSV table of kernel values over a length grid")
     p.add_argument("-n", "--dim", type=int, required=True)
     p.add_argument("--lmin", type=float, required=True)
@@ -207,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add the collar volume column for this boundary area")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("selftest", parents=[shared],
-                       help="run the built-in consistency checks")
+    p = sub.add_parser("selftest", help="run the built-in consistency checks")
     p.set_defaults(func=cmd_selftest)
 
     return parser

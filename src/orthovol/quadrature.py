@@ -6,9 +6,8 @@ public domain): the 21-point Gauss-Kronrod rule dqk21, bisection of
 the subinterval with the largest error estimate kept in dqpsrt's
 error-ordered list, and Wynn's epsilon-algorithm dqelg to extrapolate
 over end-point singularities.  It evaluates the same nodes in the same
-order as the Fortran original and takes the same exits.  An infinite
-upper limit is mapped onto (0, 1] by x = lo + (1 - t)/t and run through
-the same rule.
+order as the Fortran original and takes the same exits.  Both limits
+must be finite.
 
 On top of the port sits the policy: a tolerance/limit config, a
 value-with-error result type, and a single call point that turns a
@@ -392,23 +391,16 @@ def adaptive_quad(
 ) -> tuple[float, float]:
     """Integrate integrand over (lo, hi) under the config's error policy.
 
-    lo must be finite; hi may be +inf.  abs_tol overrides the config's
+    Both limits must be finite.  abs_tol overrides the config's
     absolute floor, for callers that scale the integral afterwards.
     Returns (value, err_estimate); raises NonConvergenceError if the
     estimate misses max(abs target, rel target * |value|).
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("integration limits must be finite")
     eps_rel = max(cfg.rel_tol, _MIN_REL)
     eps_abs = cfg.abs_tol if abs_tol is None else abs_tol
-    limit = cfg.max_subdivisions
-    if math.isinf(lo):
-        raise ValueError("lower limit must be finite")
-    if hi == math.inf:
-        def mapped(t: float) -> float:
-            return integrand(lo + (1.0 - t) / t) / t / t
-
-        value, err = _qags(mapped, 0.0, 1.0, eps_abs, eps_rel, limit)
-    else:
-        value, err = _qags(integrand, lo, hi, eps_abs, eps_rel, limit)
+    value, err = _qags(integrand, lo, hi, eps_abs, eps_rel, cfg.max_subdivisions)
     target = max(eps_abs, eps_rel * abs(value))
     if err > target:
         raise NonConvergenceError(

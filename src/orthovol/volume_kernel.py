@@ -4,8 +4,9 @@ For a hyperbolic n-manifold with totally geodesic boundary, each
 orthogeodesic of length l contributes a kernel value, and the volume
 is the sum of those values over the orthospectrum.  The kernel is a closed
 Rogers dilogarithm expression for n = 2 and a one-dimensional integral
-of the inner kernel for n >= 3, available in two independent
-parametrizations.
+of the inner kernel for n >= 3, evaluated in the radial-angle
+parametrization.  A second, independent parametrization is kept as the
+tests' reference for the first.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 import math
 
 from .inner_kernel import inner_kernel
-from .quadrature import DEFAULT_CONFIG, KernelValue, NonConvergenceError, \
-    QuadratureConfig, adaptive_quad
+from .quadrature import DEFAULT_CONFIG, KernelValue, QuadratureConfig, adaptive_quad
 from .special import gamma_half_integer, harmonic, rogers_l, sphere_volume
 
 __all__ = [
@@ -25,14 +25,6 @@ __all__ = [
     "small_length_constant",
     "large_length_coefficient",
 ]
-
-# The integrands read 0 for inner kernel arguments x > _ARG_CAP.  Every
-# argument is at least e^l, so for l > ln 1e12 (about 27.63) that zeroes
-# the whole integrand and the kernel comes out as exactly 0:
-# `orthovol fn -n 3 -l 30` prints "0 0".  ROADMAP item 2 (the e^(-2l)
-# series) removes the cap.
-_ARG_CAP = 1e12
-
 
 def _shape_factor(n: int) -> float:
     """Cross-section constant 2 V(n-2) V(n-3) / V(n-1) in sphere volumes."""
@@ -55,18 +47,22 @@ def volume_kernel_radial(
     shape * int_0^(pi/2) tan(theta)^(n-3) inner_kernel(x(theta)) dtheta
     with x = sqrt(e^(2l) - 1 + cos^2 theta) / cos(theta).  Near
     theta = pi/2 the argument blows up and the integrand dies like
-    x^(1-n) log x; past _ARG_CAP it is set to 0.
+    cos^2(theta) log x.  The inner kernel is finite at every finite
+    argument, so the integrand is evaluated as it stands everywhere.
+    Raises OverflowError where e^(2l) leaves the double range
+    (l > 354.89), and NonConvergenceError where the integral misses
+    its target.
     """
     _check_kernel_args(n, l)
     a = math.exp(l)
     a2m1 = (a - 1.0) * (a + 1.0)
+    if a2m1 == math.inf:
+        raise OverflowError(f"e^(2l) overflows at l = {l!r}")
     shape = _shape_factor(n)
 
     def integrand(theta: float) -> float:
         ct = math.cos(theta)
         x = math.sqrt(a2m1 + ct * ct) / ct
-        if x > _ARG_CAP:
-            return 0.0
         return math.tan(theta) ** (n - 3) * inner_kernel(n, x)
 
     # absolute target pre-divided by the prefactor so the scaled error
@@ -86,10 +82,9 @@ def volume_kernel_alt(
     argument's natural range (e^l, inf):
     shape * a^(n-2) (a^2-1)^(2-n/2) *
     int_0^inf sinh(w)^(n-3) cosh(w) inner_kernel(a cosh w) / (x^2 - 1) dw.
-    Independent of the radial form; the dispatcher falls back to it
-    when the radial integral fails to converge.  cosh overflows past
-    w = 710, and contributions beyond w = 30 are below 1e-24 of the
-    total, so the integrand is cut there.
+    The integral runs over w in [0, 30]: contributions beyond w = 30
+    are below 1e-24 of the total.  Independent of the radial form, it
+    is the tests' reference for it; volume_kernel never calls it.
     """
     _check_kernel_args(n, l)
     a = math.exp(l)
@@ -97,17 +92,13 @@ def volume_kernel_alt(
     prefactor = _shape_factor(n) * a ** (n - 2) / a2m1 ** (0.5 * n - 2.0)
 
     def integrand(w: float) -> float:
-        if w > 30.0:
-            return 0.0
         ch = math.cosh(w)
         x = a * ch
-        if x > _ARG_CAP:
-            return 0.0
         sh = math.sinh(w)
         return sh ** (n - 3) * ch * inner_kernel(n, x) / ((x - 1.0) * (x + 1.0))
 
     value, err = adaptive_quad(
-        integrand, 0.0, math.inf, cfg, abs_tol=cfg.abs_tol / prefactor
+        integrand, 0.0, 30.0, cfg, abs_tol=cfg.abs_tol / prefactor
     )
     return KernelValue(prefactor * value, prefactor * err)
 
@@ -163,13 +154,10 @@ def volume_kernel(
     """Volume kernel for any dimension n >= 2.
 
     n = 2 returns the closed form with zero error estimate; n >= 3 runs
-    the radial quadrature and falls back to the alternative
-    parametrization if that fails to converge.
+    the radial quadrature, whose NonConvergenceError and OverflowError
+    propagate.
     """
     _check_kernel_args(n, l, least_n=2)
     if n == 2:
         return KernelValue(surface_kernel(l), 0.0)
-    try:
-        return volume_kernel_radial(n, l, cfg)
-    except NonConvergenceError:
-        return volume_kernel_alt(n, l, cfg)
+    return volume_kernel_radial(n, l, cfg)

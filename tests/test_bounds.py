@@ -103,6 +103,10 @@ def test_volume_bound_sphere_area():
         (3, 1e12),
         (12, 1.0),
         (20, 100.0),
+        # crossings at 2x = 25, 31 and 48, kernel values 1e-20 to 1e-40
+        (3, 1e-30),
+        (3, 1e-37),
+        (3, 1e-60),
     ],
 )
 def test_volume_bound_crossing_residual(n, area):
@@ -112,8 +116,13 @@ def test_volume_bound_crossing_residual(n, area):
     res = volume_bound(n, area, DEFAULT_CONFIG)
     left = volume_kernel(n, 2.0 * res.crossing_length, DEFAULT_CONFIG).value
     right = area * collar_volume_factor(n, res.crossing_length)
-    assert left == pytest.approx(right, rel=1e-8)
+    assert left == pytest.approx(right, rel=1e-8, abs=0.0)
     assert res.bound == pytest.approx(left, rel=1e-12)
+    if n == 3:
+        # and to F_3(2x) = pi (1 + 2x) / (e^(4x) - 1) in closed form
+        x = res.crossing_length
+        exact = math.pi * (1.0 + 2.0 * x) / math.expm1(4.0 * x)
+        assert exact == pytest.approx(right, rel=1e-8, abs=0.0)
 
 
 @pytest.mark.parametrize("n,area", [(3, 4.0 * math.pi), (4, 10.0), (5, 100.0)])
@@ -177,10 +186,10 @@ def test_volume_bound_high_precision_reference(n, area, crossing, bound):
 
 
 def test_volume_bound_tiny_area_takes_no_log_of_zero():
-    # At n = 3 and area 1e-40 the crossing lies past the kernel
-    # quadrature's argument cap, where the kernel reads 0.  That must
-    # come out as a positive bound or NonConvergenceError, never as a
-    # bound of 0 or a math-domain error from log(0).
+    # At n = 3 and area 1e-40 the crossing lies at 2x = 33, where the
+    # kernel is about 3e-27.  That must come out as a positive bound or
+    # NonConvergenceError, never as a bound of 0 or a math-domain error
+    # from log(0).
     try:
         res = volume_bound(3, 1e-40, DEFAULT_CONFIG)
     except NonConvergenceError:

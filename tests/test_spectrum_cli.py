@@ -233,6 +233,32 @@ def test_cli_exit_code_bad_values(capsys):
     assert "error:" in err
 
 
+def test_cli_fn_overflowing_length_exits_two(capsys):
+    # past l = 354.89 e^(2l) overflows: bad input, not a value
+    assert main(["fn", "-n", "3", "-l", "400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: e^(2l) overflows" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mn", "-n", "3", "-b", "2", "--rtol", "1e-5"],
+        ["mn", "-n", "3", "-b", "2", "--maxsub", "0"],
+        ["kn", "-n", "3", "--atol", "1e-3"],
+        ["selftest", "--rtol", "1e-5"],
+        ["selftest", "--digits", "3"],
+    ],
+)
+def test_cli_rejects_flags_a_subcommand_ignores(argv):
+    # quadrature flags only on the subcommands that integrate, --digits
+    # only on those that print numbers
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+
+
 def test_cli_exit_code_non_convergence(capsys):
     assert main(["fn", "-n", "3", "-l", "1", "--maxsub", "1"]) == 3
     assert "error:" in capsys.readouterr().err

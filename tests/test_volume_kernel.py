@@ -2,6 +2,7 @@
 shell-average representations, the two-dimensional closed form, and the
 Monte Carlo cross-check."""
 
+import importlib
 import math
 
 import numpy as np
@@ -23,8 +24,6 @@ from orthovol import (
     volume_kernel,
 )
 from orthovol.volume_kernel import volume_kernel_alt, volume_kernel_radial
-
-PURE_REL = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-300)
 
 
 def chord_arclength(x, y, a):
@@ -150,13 +149,6 @@ def test_chord_length_nd_rotation_invariant():
         )
 
 
-@pytest.mark.parametrize("n,l", [(3, 1.0), (4, 1.0), (6, 0.5)])
-def test_representations_agree(n, l):
-    a = volume_kernel_radial(n, l, PURE_REL)
-    b = volume_kernel_alt(n, l, PURE_REL)
-    assert a.value == pytest.approx(b.value, rel=1e-8)
-
-
 def test_surface_kernel_special_point():
     # At l = 2 arccosh(sqrt 2) the closed form collapses to pi/3.
     lstar = 2.0 * math.acosh(math.sqrt(2.0))
@@ -180,11 +172,6 @@ def test_large_length_coefficients():
     assert large_length_coefficient(4) == pytest.approx(32.0 / 9.0, rel=1e-14)
 
 
-def test_small_length_law_dimension_three():
-    kv = volume_kernel(3, 1e-4, DEFAULT_CONFIG)
-    assert 1e-4 * kv.value == pytest.approx(math.pi / 2.0, rel=5e-3)
-
-
 def test_small_length_band_dimension_three():
     # length times the dimension-3 kernel stays within 5% of pi/2 for l <= 0.05
     for l in (0.005, 0.01, 0.025, 0.05):
@@ -201,6 +188,35 @@ def test_dispatcher_routes():
     assert volume_kernel(3, 1.0, DEFAULT_CONFIG) == volume_kernel_radial(
         3, 1.0, DEFAULT_CONFIG
     )
+
+
+@pytest.mark.parametrize("l", [22.0, 25.0, 27.0, 30.0, 80.0, 300.0])
+def test_large_length_dimension_three_closed_form(l):
+    # F_3(l) = pi (1 + l) / (e^(2l) - 1) at large l, out to l = 300
+    kv = volume_kernel(3, l, DEFAULT_CONFIG)
+    exact = math.pi * (1.0 + l) / math.expm1(2.0 * l)
+    assert kv.value == pytest.approx(exact, rel=1e-10, abs=0.0)
+    assert abs(kv.value - exact) <= kv.err_estimate
+
+
+def test_overflowing_length_raises_overflow_error():
+    # e^(2l) leaves the double range past l = 354.89: an error that
+    # names it, not a value
+    with pytest.raises(OverflowError, match=r"e\^\(2l\) overflows"):
+        volume_kernel(3, 400.0, DEFAULT_CONFIG)
+
+
+def test_volume_kernel_never_calls_alt(monkeypatch):
+    # the radial quadrature is the one path for n >= 3: where it misses
+    # its target, its NonConvergenceError propagates
+    def fail(*args, **kwargs):
+        raise AssertionError("volume_kernel called volume_kernel_alt")
+
+    # the package attribute volume_kernel is the function, not the module
+    module = importlib.import_module("orthovol.volume_kernel")
+    monkeypatch.setattr(module, "volume_kernel_alt", fail)
+    with pytest.raises(NonConvergenceError):
+        volume_kernel(13, 7.30963e-9, DEFAULT_CONFIG)
 
 
 def test_dispatcher_validation():

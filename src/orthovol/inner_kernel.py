@@ -63,9 +63,17 @@ def _closed_form(n: int, b: float) -> float:
     and 2 to the power n-2, with signs alternating in the parity of n.
     Every truncated_log call passes the exact logarithm of |1 - x| for
     its argument x; letting truncated_log recompute it from the rounded
-    ratio loses up to six digits near b = 1.
+    ratio loses up to six digits near b = 1.  Where (b-1)^(n-2)
+    underflows to 0 (b = 1 + 1e-8 from n = 43 on), m_n(b), which grows
+    like 2 H_(n-2) / ((n-1)(n-2) (b-1)^(n-2)), is past the double range:
+    that raises OverflowError.
     """
     k = n - 2
+    near = (b - 1.0) ** k
+    if near == 0.0:
+        raise OverflowError(
+            f"inner kernel m_n(b) leaves the double range at n = {n}, b = {b!r}"
+        )
     m = n - 3
     sgn = -1.0 if n % 2 else 1.0
     h2 = 2.0 * harmonic(n - 2)
@@ -95,7 +103,7 @@ def _closed_form(n: int, b: float) -> float:
         - sgn * truncated_log(m, -2.0 / (b - 1.0), lbp - lbm)
     )
     return (
-        g1 / (b - 1.0) ** k
+        g1 / near
         + g2 / (b + 1.0) ** k
         + g3 / (2.0 * b) ** k
         + g4 / 2.0 ** k

@@ -182,6 +182,13 @@ def test_far_field_never_overflows(n, b):
         assert got == pytest.approx(math.exp(log_want), rel=1e-12, abs=2.0**-1074)
 
 
+def test_closed_form_past_the_double_range_raises_overflow_error():
+    # (b-1)^41 underflows to 0 at b = 1 + 1e-8, where m_43(b) ~ 5e325:
+    # a typed error, not ZeroDivisionError
+    with pytest.raises(OverflowError, match=r"inner kernel m_n\(b\) leaves"):
+        inner_kernel(43, 1.0 + 1e-8)
+
+
 @pytest.mark.parametrize("n", range(3, 61))
 def test_branches_agree_at_the_switch(n):
     # Both branches at b = 3 (1 -+ 2^-40), just inside the closed form's

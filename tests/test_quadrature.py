@@ -1,18 +1,20 @@
-"""Tests for the QUADPACK QAGS port behind adaptive_quad.
+"""Tests for the global adaptive Gauss-Kronrod loop behind adaptive_quad.
 
-scipy's quad wraps the original QUADPACK, so on a finite range it must
-make the same integrand calls and return the same numbers.  The
-closed-form cases need the epsilon extrapolation (end-point
-singularities).  Both limits must be finite.
+scipy's quad wraps QUADPACK's QAGS, which bisects in the same way but
+also extrapolates, so on a finite range the two agree within the sum of
+their error estimates wherever each estimate holds.  A call that the
+first 21-point rule settles is QAGS's first step bit for bit.  Both
+limits must be finite.
 """
 
+import importlib
 import math
 
 import pytest
 from scipy.integrate import quad
 
-from orthovol import NonConvergenceError, QuadratureConfig, inner_kernel
-from orthovol.quadrature import DEFAULT_CONFIG, adaptive_quad
+from orthovol import NonConvergenceError, QuadratureConfig, inner_kernel, volume_kernel
+from orthovol.quadrature import DEFAULT_CONFIG, _qk21, adaptive_quad
 from orthovol.volume_kernel import _shape_factor
 
 
@@ -23,9 +25,9 @@ class Counting:
         self.fn = fn
         self.calls = 0
 
-    def __call__(self, x):
+    def __call__(self, *args):
         self.calls += 1
-        return self.fn(x)
+        return self.fn(*args)
 
 
 def radial_integrand(n, l):
@@ -40,27 +42,29 @@ def radial_integrand(n, l):
     return integrand
 
 
-def assert_matches_quadpack(f, lo, hi, abs_tol, rel_tol, limit):
+def ours(f, lo, hi, abs_tol, rel_tol, limit):
+    """(value, err) of adaptive_quad, also where it misses its target."""
     cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1.0, max_subdivisions=limit)
-    ours = Counting(f)
     try:
-        value, err = adaptive_quad(ours, lo, hi, cfg, abs_tol=abs_tol)
+        return adaptive_quad(f, lo, hi, cfg, abs_tol=abs_tol)
     except NonConvergenceError as exc:
-        value, err = exc.value, exc.err_estimate
-    theirs = Counting(f)
-    ref, ref_err, info = quad(
-        theirs, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1
-    )[:3]
-    assert ours.calls == theirs.calls == info["neval"]
-    assert value == pytest.approx(ref, rel=1e-14, abs=0.0)
-    assert err == pytest.approx(ref_err, rel=1e-12, abs=0.0)
+        return exc.value, exc.err_estimate
+
+
+def assert_agrees_with_quadpack(f, lo, hi, abs_tol, rel_tol, limit):
+    value, err = ours(f, lo, hi, abs_tol, rel_tol, limit)
+    ref, ref_err = quad(
+        f, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1
+    )[:2]
+    assert math.isfinite(value) and err > 0.0
+    assert abs(value - ref) <= err + ref_err
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 @pytest.mark.parametrize("l", [1e-3, 0.1, 1.0, 3.0, 12.0])
 def test_matches_quadpack_on_the_radial_kernel(n, l):
     cfg = DEFAULT_CONFIG
-    assert_matches_quadpack(
+    assert_agrees_with_quadpack(
         radial_integrand(n, l), 0.0, 0.5 * math.pi,
         cfg.abs_tol / _shape_factor(n), cfg.rel_tol, cfg.max_subdivisions,
     )
@@ -68,11 +72,28 @@ def test_matches_quadpack_on_the_radial_kernel(n, l):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_matches_quadpack_on_the_far_radial_kernel(n):
-    # pure relative target at l = 20: hundreds of evaluations with the
-    # extrapolation working down the error-ordered list
-    assert_matches_quadpack(
+    # pure relative target at l = 20
+    assert_agrees_with_quadpack(
         radial_integrand(n, 20.0), 0.0, 0.5 * math.pi, 1e-300, 1e-12, 2000
     )
+
+
+# int_0^1 |x - c|^alpha (1 + sin(w x)) dx to 20 digits, from mpmath at
+# 40 digits after u = |x - c|^(alpha + 1) on either side of c, which
+# leaves a smooth integrand
+SINGULAR_EXACT = {
+    (-0.5, 0.0, 1.0): 2.6205366034467622036,
+    (-0.9, 0.37, 25.0): 21.007409401968597917,
+    (0.3, 0.71, 40.0): 0.68195907628280380066,
+    (-0.7, 0.5, 3.0): 10.099406292620196958,
+    (1.5, 0.123, 30.0): 0.2860324427105116938,
+    (-0.3, 1.0, 10.0): 1.6578693995462140667,
+    (-0.7567, 0.01317, 33.66): 7.2113222065349156779,
+}
+# where QAGS's extrapolated value misses SINGULAR_EXACT by more than its
+# own estimate (5.5e-3 against 7.1e-4), so agreement within the two
+# estimates is not owed
+QAGS_MISSES = {(-0.7567, 0.01317, 33.66)}
 
 
 @pytest.mark.parametrize(
@@ -84,18 +105,32 @@ def test_matches_quadpack_on_the_far_radial_kernel(n):
         (-0.7, 0.5, 3.0, 1e-8, 10),
         (1.5, 0.123, 30.0, 1.2e-14, 50),
         (-0.3, 1.0, 10.0, 1e-12, 7),
-        # more than 48 extrapolation steps: the epsilon table wraps
         (-0.7567, 0.01317, 33.66, 9.2e-12, 2000),
     ],
 )
 def test_matches_quadpack_on_singular_integrands(alpha, c, w, rel_tol, limit):
     # |x - c|^alpha (1 + sin(w x)) on [0, 1]: end-point and interior
     # singularities, oscillation, and small subdivision budgets reach the
-    # extrapolation, the roundoff counters and the limit exit
+    # stall, narrow-interval and budget exits.  Met or missed, the
+    # target's error estimate bounds the true error.
     def f(x):
         return abs(x - c) ** alpha * (1.0 + math.sin(w * x)) if x != c else 0.0
 
-    assert_matches_quadpack(f, 0.0, 1.0, 1e-300, rel_tol, limit)
+    value, err = ours(f, 0.0, 1.0, 1e-300, rel_tol, limit)
+    assert abs(value - SINGULAR_EXACT[alpha, c, w]) <= err
+    if (alpha, c, w) not in QAGS_MISSES:
+        assert_agrees_with_quadpack(f, 0.0, 1.0, 1e-300, rel_tol, limit)
+
+
+@pytest.mark.parametrize("n,l", [(3, 12.0), (8, 3.0)])
+def test_first_rule_exit_is_the_rule_itself(n, l):
+    # one 21-point rule meets the target: value and error are its own bits
+    f = Counting(radial_integrand(n, l))
+    cfg = DEFAULT_CONFIG
+    abs_tol = cfg.abs_tol / _shape_factor(n)
+    value, err = adaptive_quad(f, 0.0, 0.5 * math.pi, cfg, abs_tol=abs_tol)
+    assert f.calls == 21
+    assert (value, err) == _qk21(f.fn, 0.0, 0.5 * math.pi)[:2]
 
 
 @pytest.mark.parametrize(
@@ -103,15 +138,23 @@ def test_matches_quadpack_on_singular_integrands(alpha, c, w, rel_tol, limit):
     [(math.log, -1.0), (lambda x: x ** -0.5, 2.0)],
     ids=["log", "inverse_sqrt"],
 )
-def test_end_point_singularities_extrapolate(f, exact):
+def test_end_point_singularities_converge(f, exact):
+    # bisection alone reaches them: the piece at 0 shrinks geometrically
     cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
-    ours = Counting(f)
-    value, err = adaptive_quad(ours, 0.0, 1.0, cfg)
-    assert abs(value - exact) <= 1e-12
-    assert err <= 1e-12
-    # without the extrapolation both take hundreds of subintervals
-    _, _, info = quad(f, 0.0, 1.0, epsabs=1e-300, epsrel=1e-12, full_output=1)
-    assert ours.calls == info["neval"] < 1000
+    value, err = adaptive_quad(f, 0.0, 1.0, cfg)
+    assert abs(value - exact) <= err <= 1e-12 * abs(value)
+
+
+def test_non_convergence_gives_up_early(monkeypatch):
+    # F_13 at l = 7.3e-9: the integrand is rounding noise near theta = 0,
+    # and the stall count gives up on it in fewer integrand calls than
+    # QUADPACK's QAGS made (819)
+    module = importlib.import_module("orthovol.volume_kernel")
+    counting = Counting(module.inner_kernel)
+    monkeypatch.setattr(module, "inner_kernel", counting)
+    with pytest.raises(NonConvergenceError):
+        volume_kernel(13, 7.30963e-9, DEFAULT_CONFIG)
+    assert counting.calls <= 819
 
 
 def test_infinite_limits_raise():

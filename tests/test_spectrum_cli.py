@@ -114,6 +114,14 @@ def test_cli_mn_far_field_below_subnormal(capsys):
     assert float(capsys.readouterr().out) == 0.0
 
 
+def test_cli_mn_past_the_double_range_exits_two(capsys):
+    # m_60(1 + 1e-8) overflows: it used to exit 2 with "float division by zero"
+    assert main(["mn", "-n", "60", "-b", "1.00000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: inner kernel m_n(b) leaves the double range" in captured.err
+
+
 def test_cli_kn_single(capsys):
     assert main(["kn", "-n", "5"]) == 0
     out = capsys.readouterr().out.strip()
@@ -302,9 +310,12 @@ def test_cli_selftest_fast(capsys):
 
 
 def test_console_script_installed():
+    # src/ first on the path, so that an uninstalled checkout runs too
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "orthovol.cli", "kn", "-n", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == pytest.approx(math.pi / 2.0, rel=1e-15)

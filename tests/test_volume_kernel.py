@@ -190,9 +190,12 @@ def test_dispatcher_routes():
     )
 
 
-@pytest.mark.parametrize("l", [22.0, 25.0, 27.0, 30.0, 80.0, 300.0])
-def test_large_length_dimension_three_closed_form(l):
-    # F_3(l) = pi (1 + l) / (e^(2l) - 1) at large l, out to l = 300
+@pytest.mark.parametrize(
+    "l", [1e-3, 0.1, 1.0, 3.0, 12.0, 22.0, 25.0, 27.0, 30.0, 80.0, 300.0]
+)
+def test_dimension_three_closed_form(l):
+    # F_3(l) = pi (1 + l) / (e^(2l) - 1), from lengths where the
+    # quadrature subdivides out to l = 300
     kv = volume_kernel(3, l, DEFAULT_CONFIG)
     exact = math.pi * (1.0 + l) / math.expm1(2.0 * l)
     assert kv.value == pytest.approx(exact, rel=1e-10, abs=0.0)
@@ -204,6 +207,13 @@ def test_overflowing_length_raises_overflow_error():
     # names it, not a value
     with pytest.raises(OverflowError, match=r"e\^\(2l\) overflows"):
         volume_kernel(3, 400.0, DEFAULT_CONFIG)
+
+
+def test_overflowing_inner_kernel_raises_overflow_error():
+    # at l = 1e-8 the integrand reaches b = 1 + 2e-8, where m_60(b) is
+    # past the double range: an error that names the inner kernel
+    with pytest.raises(OverflowError, match=r"inner kernel m_n\(b\) leaves"):
+        volume_kernel(60, 1e-8, DEFAULT_CONFIG)
 
 
 def test_volume_kernel_never_calls_alt(monkeypatch):

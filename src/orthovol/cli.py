@@ -18,7 +18,7 @@ import sys
 
 from .bounds import collar_volume_factor, volume_bound
 from .inner_kernel import inner_kernel
-from .quadrature import NonConvergenceError, QuadratureConfig
+from .quadrature import KernelValue, NonConvergenceError, QuadratureConfig
 from .spectrum import parse_spectrum, spectrum_volume
 from .volume_kernel import small_length_constant, volume_kernel
 
@@ -35,9 +35,25 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
+def _fmt_kernel(kv: KernelValue, digits: int) -> str:
+    """The kernel value; below the normal range, from its log.
+
+    An underflowed kernel then prints as its size, not as 0 or as a
+    subnormal with few digits.
+    """
+    if kv.value >= sys.float_info.min or not math.isfinite(kv.log_value):
+        return _fmt(kv.value, digits)
+    exponent = math.floor(kv.log_value / math.log(10.0))
+    mantissa = _fmt(math.exp(kv.log_value - exponent * math.log(10.0)), digits)
+    if float(mantissa) >= 10.0:
+        exponent += 1
+        mantissa = _fmt(float(mantissa) / 10.0, digits)
+    return f"{mantissa}e{exponent:+03d}"
+
+
 def cmd_fn(args: argparse.Namespace) -> int:
     kv = volume_kernel(args.dim, args.length, _config_from(args))
-    print(_fmt(kv.value, args.digits), _fmt(kv.err_estimate, args.digits))
+    print(_fmt_kernel(kv, args.digits), _fmt(kv.err_estimate, args.digits))
     return 0
 
 
@@ -118,7 +134,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         kv = volume_kernel(args.dim, l, cfg)
         row = [
             _fmt(l, args.digits),
-            _fmt(kv.value, args.digits),
+            _fmt_kernel(kv, args.digits),
             _fmt(kv.err_estimate, args.digits),
         ]
         if args.floor:

@@ -96,10 +96,16 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class KernelValue:
-    """Numerical kernel value together with its error estimate."""
+    """Numerical kernel value, its error estimate and its logarithm.
+
+    log_value is log(value) wherever value is a normal double.  Where the
+    kernel underflows, value is a subnormal or 0 and log_value still
+    holds the kernel's size.
+    """
 
     value: float
     err_estimate: float
+    log_value: float
 
 
 class NonConvergenceError(RuntimeError):
@@ -153,11 +159,13 @@ def _integrate(f, a, b, epsabs, epsrel, limit):
     """(value, err_estimate) for the integral of f over [a, b]."""
     result, abserr, defabs, resabs = _qk21(f, a, b)
     errbnd = max(epsabs, epsrel * abs(result))
-    # QAGS's exits after the first rule
+    # QAGS's exits after the first rule, and a non-finite rule: no
+    # bisection resolves an integrand that returned nan or inf
     if (
         (abserr <= errbnd and abserr != resabs)
         or abserr == 0.0
         or (abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd)
+        or not math.isfinite(result + abserr)
     ):
         return result, abserr
     # pieces as (-err, a, b, value): the heap's top is the worst piece
@@ -175,6 +183,8 @@ def _integrate(f, a, b, epsabs, epsrel, limit):
         erro12 = error1 + error2
         area += area12 - whole
         errsum += erro12 + neg_err
+        if not math.isfinite(area + errsum):
+            return area, errsum
         if errsum <= max(epsabs, epsrel * abs(area)):
             break
         stalls += (
@@ -201,8 +211,9 @@ def adaptive_quad(
 
     Both limits must be finite.  abs_tol overrides the config's
     absolute floor, for callers that scale the integral afterwards.
-    Returns (value, err_estimate); raises NonConvergenceError if the
-    estimate misses max(abs target, rel target * |value|).
+    Returns (value, err_estimate); raises NonConvergenceError unless the
+    estimate meets max(abs target, rel target * |value|), which a nan or
+    infinite estimate never does.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
@@ -210,7 +221,7 @@ def adaptive_quad(
     eps_abs = cfg.abs_tol if abs_tol is None else abs_tol
     value, err = _integrate(integrand, lo, hi, eps_abs, eps_rel, cfg.max_subdivisions)
     target = max(eps_abs, eps_rel * abs(value))
-    if err > target:
+    if not err <= target:
         raise NonConvergenceError(
             f"integral error estimate {err:.3e} exceeds target {target:.3e}",
             value,

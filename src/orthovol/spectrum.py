@@ -80,15 +80,19 @@ def spectrum_volume(
 
     Returns (total, total_err, rows) where rows carry
     (length, multiplicity, kernel value, kernel err) per entry in file
-    order.  Error estimates add linearly, which overstates the combined
-    error but never hides it.
+    order.  The total is the correctly rounded sum of the terms
+    mult * value.  Its error estimate adds the terms' error estimates
+    linearly, which overstates the combined error but never hides it,
+    and half an ulp for the rounding of each term and of the total.
     """
     rows = []
-    total = 0.0
-    total_err = 0.0
+    terms = []
+    errs = []
     for length, mult in entries:
         kv = volume_kernel(n, length, cfg)
         rows.append((length, mult, kv.value, kv.err_estimate))
-        total += mult * kv.value
-        total_err += mult * kv.err_estimate
-    return total, total_err, rows
+        terms.append(mult * kv.value)
+        errs.append(mult * kv.err_estimate)
+    total = math.fsum(terms)
+    rounding = 0.5 * math.fsum(math.ulp(x) for x in terms + [total] if x)
+    return total, math.fsum(errs) + rounding, rows

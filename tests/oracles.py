@@ -213,7 +213,7 @@ def inner_kernel_integral(
     scale = bm1 ** (n - 2)
     value /= scale
     err = err / scale + 0.03 * cfg.rel_tol * abs(value)
-    return KernelValue(value, err)
+    return KernelValue(value, err, math.log(value))
 
 
 def surface_kernel_integral(
@@ -244,7 +244,8 @@ def surface_kernel_integral(
 
     value, err = _quad(inner, -1.0, 1.0, 0.97 * cfg.rel_tol, limit, points=[0.0])
     scale = 2.0 / math.pi
-    return KernelValue(scale * value, scale * (err + 0.03 * cfg.rel_tol * abs(value)))
+    value, err = scale * value, scale * (err + 0.03 * cfg.rel_tol * abs(value))
+    return KernelValue(value, err, math.log(value))
 
 
 def volume_kernel_montecarlo(
@@ -322,4 +323,4 @@ def volume_kernel_montecarlo(
             value,
             err,
         )
-    return KernelValue(value, err)
+    return KernelValue(value, err, math.log(value))

@@ -157,6 +157,28 @@ def test_non_convergence_gives_up_early(monkeypatch):
     assert counting.calls <= 819
 
 
+@pytest.mark.parametrize("n,l", [(39, 3.21403e-9), (41, 8.24944e-9)])
+def test_non_finite_rule_raises_at_once(monkeypatch, n, l):
+    # the inner kernel's closed form returns nan in a band of b - 1 for
+    # n >= 38: the first rule that sees it ends the integral, which
+    # raises instead of bisecting on to KernelValue(nan, nan)
+    module = importlib.import_module("orthovol.volume_kernel")
+    counting = Counting(module.inner_kernel)
+    monkeypatch.setattr(module, "inner_kernel", counting)
+    with pytest.raises(NonConvergenceError, match="nan"):
+        volume_kernel(n, l, DEFAULT_CONFIG)
+    assert counting.calls <= 100
+
+
+def test_non_finite_piece_raises_at_once():
+    # nan only past x = 0.999, which the first rule does not sample: the
+    # bisection toward the singularity at 1 meets it in the fifth rule
+    f = Counting(lambda x: math.nan if x > 0.999 else (1.0 - x) ** -0.5)
+    with pytest.raises(NonConvergenceError, match="nan"):
+        adaptive_quad(f, 0.0, 1.0)
+    assert f.calls == 105
+
+
 def test_infinite_limits_raise():
     for lo, hi in ((0.0, math.inf), (-math.inf, 0.0)):
         with pytest.raises(ValueError, match="must be finite"):

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from orthovol import (
     volume_kernel,
 )
 from orthovol.cli import _length_grid, main
+from orthovol.volume_kernel import _SERIES_CUT
 
 SAMPLE = """\
 # toy spectrum
@@ -80,6 +82,21 @@ def test_spectrum_volume_compositional():
         for length, mult in entries
     )
     assert total == pytest.approx(want, rel=1e-12)
+
+
+def test_spectrum_volume_total_within_its_estimate():
+    # 100 entries of F_3 = pi (1 + l) / (e^(2l) - 1) on the t-series,
+    # whose terms carry errors near 1e-15 relative: the total must be
+    # within its estimate of the exact sum, rounding included
+    rng = random.Random(16)
+    entries = [(rng.uniform(_SERIES_CUT, 40.0), rng.randint(1, 1000)) for _ in range(100)]
+    total, total_err, _ = spectrum_volume(3, entries, DEFAULT_CONFIG)
+    with mpmath.workdps(40):
+        exact = mpmath.fsum(
+            mult * mpmath.pi * (1 + mpmath.mpf(l)) / mpmath.expm1(2 * mpmath.mpf(l))
+            for l, mult in entries
+        )
+        assert abs(total - exact) <= total_err
 
 
 def test_cli_fn_round_trip(capsys):
@@ -241,12 +258,20 @@ def test_cli_exit_code_bad_values(capsys):
     assert "error:" in err
 
 
-def test_cli_fn_overflowing_length_exits_two(capsys):
-    # past l = 354.89 e^(2l) overflows: bad input, not a value
-    assert main(["fn", "-n", "3", "-l", "400"]) == 2
+def test_cli_fn_underflowing_kernel_prints_log_value(capsys):
+    # F_3(400) = pi 401 e^(-800) / (1 - e^(-800)) ~ 4.6e-345 is below the
+    # smallest double: fn prints it from log_value, not as 0, and the
+    # error estimate, an ulp of 0, still bounds the value's distance from 0
+    assert main(["fn", "-n", "3", "-l", "400"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: e^(2l) overflows" in captured.err
+    assert captured.err == ""
+    value_token, err_token = captured.out.split()
+    mantissa, exponent = value_token.split("e")
+    assert int(exponent) == -345 and 1.0 <= float(mantissa) < 10.0
+    log_f = math.log(math.pi * 401.0) - 800.0 - math.log1p(-math.exp(-800.0))
+    printed = math.log(float(mantissa)) + int(exponent) * math.log(10.0)
+    assert printed == pytest.approx(log_f, rel=1e-14)
+    assert float(err_token) == math.ulp(0.0)
 
 
 @pytest.mark.parametrize(
@@ -268,8 +293,11 @@ def test_cli_rejects_flags_a_subcommand_ignores(argv):
 
 
 def test_cli_exit_code_non_convergence(capsys):
-    assert main(["fn", "-n", "3", "-l", "1", "--maxsub", "1"]) == 3
+    # below l = ln 2 / 2 the kernel integrates under the quadrature flags;
+    # from there on the t-series ignores them
+    assert main(["fn", "-n", "3", "-l", "0.3", "--maxsub", "1"]) == 3
     assert "error:" in capsys.readouterr().err
+    assert main(["fn", "-n", "3", "-l", "1", "--maxsub", "1"]) == 0
 
 
 def test_cli_exit_code_missing_file(capsys):

@@ -23,7 +23,13 @@ from orthovol import (
     surface_kernel,
     volume_kernel,
 )
-from orthovol.volume_kernel import volume_kernel_alt, volume_kernel_radial
+from orthovol.volume_kernel import (
+    _SERIES_CUT,
+    volume_kernel_alt,
+    volume_kernel_radial,
+)
+
+EPS = 2.0 ** -52
 
 
 def chord_arclength(x, y, a):
@@ -180,14 +186,25 @@ def test_small_length_band_dimension_three():
 
 
 def test_dispatcher_routes():
-    # Dimension 2 uses the closed form (no quadrature error); dimension
-    # 3 must agree with the radial representation it delegates to.
+    # Dimension 2 uses the closed form (no quadrature error).  Below
+    # l = ln 2 / 2 dimension 3 is the radial quadrature bit for bit; from
+    # there on it is the t-series, which agrees with the quadrature
+    # within the two estimates.
     kv2 = volume_kernel(2, 1.0, DEFAULT_CONFIG)
     assert kv2.value == surface_kernel(1.0)
     assert kv2.err_estimate == 0.0
-    assert volume_kernel(3, 1.0, DEFAULT_CONFIG) == volume_kernel_radial(
-        3, 1.0, DEFAULT_CONFIG
-    )
+    for l in (0.1, math.nextafter(_SERIES_CUT, 0.0)):
+        assert volume_kernel(3, l, DEFAULT_CONFIG) == volume_kernel_radial(
+            3, l, DEFAULT_CONFIG
+        )
+    for n in (3, 5, 8):
+        for l in (_SERIES_CUT, 1.0, 3.0):
+            series = volume_kernel(n, l, DEFAULT_CONFIG)
+            radial = volume_kernel_radial(n, l, DEFAULT_CONFIG)
+            assert series != radial
+            assert abs(series.value - radial.value) <= (
+                series.err_estimate + radial.err_estimate
+            )
 
 
 @pytest.mark.parametrize(
@@ -202,11 +219,17 @@ def test_dimension_three_closed_form(l):
     assert abs(kv.value - exact) <= kv.err_estimate
 
 
-def test_overflowing_length_raises_overflow_error():
-    # e^(2l) leaves the double range past l = 354.89: an error that
-    # names it, not a value
-    with pytest.raises(OverflowError, match=r"e\^\(2l\) overflows"):
-        volume_kernel(3, 400.0, DEFAULT_CONFIG)
+@pytest.mark.parametrize("l", [354.0, 400.0, 1e4])
+def test_underflowing_kernel_keeps_log_value(l):
+    # e^(2l) overflows past l = 354.89, F_3 is subnormal past l = 357.7
+    # and rounds to 0 past l = 375.8: log_value still holds
+    # log F_3 = log(pi (1 + l)) - 2l - log(1 - e^(-2l)), and value is F_3
+    # within its estimate, 0 included
+    kv = volume_kernel(3, l, DEFAULT_CONFIG)
+    log_f = math.log(math.pi * (1.0 + l)) - 2.0 * l - math.log1p(-math.exp(-2.0 * l))
+    assert abs(kv.log_value - log_f) <= 4.0 * EPS * 2.0 * l
+    assert abs(kv.value - math.exp(log_f)) <= kv.err_estimate
+    assert (kv.value == 0.0) == (l > 375.8)
 
 
 def test_overflowing_inner_kernel_raises_overflow_error():

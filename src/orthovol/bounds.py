@@ -157,7 +157,7 @@ def volume_bound(
     small-length crossing, x0 = (K_n 2^(2-n) / area)^(1/(n-1)) clamped
     into [1e-6, 1], as [x0/2, 2 x0], and widens by factors of 8 down
     and 2 up until it straddles.  Brent's method keeps a bracket, so no
-    step leaves it; about 8 kernel quadratures pin t to 1e-15.  A kernel
+    step leaves it; about 8 kernel calls pin t to 1e-15.  A kernel
     value that underflows to 0, as e^(-(n-1) 2x) does at large n and x,
     reads as h = -inf.  Kernel values are kept, so the returned bound is
     the one computed at the returned crossing length.

@@ -36,12 +36,12 @@ def _fmt(value: float, digits: int) -> str:
 
 
 def _fmt_kernel(kv: KernelValue, digits: int) -> str:
-    """The kernel value; below the normal range, from its log.
+    """The kernel value; off the normal range, from its log.
 
-    An underflowed kernel then prints as its size, not as 0 or as a
-    subnormal with few digits.
+    An underflowed or overflowed kernel then prints as its size, not as
+    0, inf or a subnormal with few digits.
     """
-    if kv.value >= sys.float_info.min or not math.isfinite(kv.log_value):
+    if sys.float_info.min <= kv.value < math.inf or not math.isfinite(kv.log_value):
         return _fmt(kv.value, digits)
     exponent = math.floor(kv.log_value / math.log(10.0))
     mantissa = _fmt(math.exp(kv.log_value - exponent * math.log(10.0)), digits)
@@ -162,17 +162,17 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # --digits for every subcommand that prints numbers, the quadrature
-    # flags on top for those that integrate
+    # flags on top for those that may integrate (even n below ln 2 / 2)
     printing = argparse.ArgumentParser(add_help=False)
     printing.add_argument("--digits", type=int, default=17,
                           help="significant digits in output")
     quad = argparse.ArgumentParser(add_help=False, parents=[printing])
     quad.add_argument("--rtol", type=float, default=1e-9,
-                      help="relative quadrature tolerance")
+                      help="relative quadrature tolerance (even n, l < ln 2 / 2)")
     quad.add_argument("--atol", type=float, default=1e-12,
-                      help="absolute quadrature tolerance")
+                      help="absolute quadrature tolerance (even n, l < ln 2 / 2)")
     quad.add_argument("--maxsub", type=int, default=2000,
-                      help="max quadrature subdivisions")
+                      help="max quadrature subdivisions (even n, l < ln 2 / 2)")
 
     parser = argparse.ArgumentParser(
         prog="orthovol",

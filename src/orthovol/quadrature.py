@@ -19,7 +19,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "QuadratureConfig",
@@ -94,13 +94,13 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-@dataclass(frozen=True)
-class KernelValue:
+class KernelValue(NamedTuple):
     """Numerical kernel value, its error estimate and its logarithm.
 
     log_value is log(value) wherever value is a normal double.  Where the
-    kernel underflows, value is a subnormal or 0 and log_value still
-    holds the kernel's size.
+    kernel underflows, value is a subnormal or 0, and where it overflows
+    value and err_estimate are inf; log_value still holds the kernel's
+    size.
     """
 
     value: float

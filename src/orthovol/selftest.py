@@ -14,7 +14,13 @@ import math
 from typing import Callable
 
 from .inner_kernel import inner_kernel, inner_kernel_asymptotics
-from .volume_kernel import small_length_constant, surface_kernel, volume_kernel_radial
+from .volume_kernel import (
+    _odd_coefficients,
+    small_length_constant,
+    surface_kernel,
+    volume_kernel,
+    volume_kernel_radial,
+)
 
 __all__ = ["CHECKS", "run_selftest"]
 
@@ -29,6 +35,18 @@ def check_small_length_constants() -> float:
         _rel(small_length_constant(3), math.pi / 2.0),
         _rel(small_length_constant(4), 1.0),
     )
+
+
+def check_odd_small_length_constants() -> float:
+    # the odd closed form's l -> 0 limit, pi^m p_0 e_0 / 2^(n-2), against
+    # the constants' gamma-function form
+    worst = 0.0
+    for n in range(3, 100, 2):
+        _, c, _, _, coefs = _odd_coefficients(n)
+        # coefs run from the top degree down: the last is (r_0, r_0 e_0)
+        limit = c * coefs[-1][1] / 2.0 ** (n - 2)
+        worst = max(worst, _rel(limit, small_length_constant(n)))
+    return worst
 
 
 def check_near_one_limit() -> float:
@@ -49,11 +67,13 @@ def check_surface_limit() -> float:
 
 
 def check_small_length_law() -> float:
-    # l^(n-2) F_n(l) at l = 1e-3 against the small-length constant
+    # l^(n-2) F_n(l) at l = 1e-3 against the small-length constant: odd
+    # n from the closed form, n = 4 from the radial quadrature
     l = 1e-3
+    kernels = ((3, volume_kernel), (4, volume_kernel_radial), (5, volume_kernel))
     return max(
-        _rel(volume_kernel_radial(n, l).value * l ** (n - 2), small_length_constant(n))
-        for n in (3, 4)
+        _rel(kernel(n, l).value * l ** (n - 2), small_length_constant(n))
+        for n, kernel in kernels
     )
 
 
@@ -67,11 +87,15 @@ def check_small_length_law() -> float:
 # - surface_limit: 2 pi/3 - F_2(l) = (4/pi) L(y) with y = tanh^2(l/2), and
 #   L(y) = y (1 - log(y)/2) + O(y^2 log y): 1.66e-8 of 2 pi/3 at l = 1e-4.
 # - small_length_law: l^(n-2) F_n(l) / K_n = 1 - c_n l^2 + o(l^2), with
-#   c_3 = 2/3 from F_3 = pi (1 + l)/(e^(2l) - 1) and c_4 = pi^2/9 - 1/3
-#   (identified to 1e-9 from 30-digit radial integrals at l <= 1e-4):
-#   7.6e-7 at l = 1e-3.
+#   c_3 = 2/3 from F_3 = pi (1 + l)/(e^(2l) - 1), c_4 = pi^2/9 - 1/3
+#   (identified to 1e-9 from 30-digit radial integrals at l <= 1e-4) and
+#   c_5 = 10/11 (to 1e-8 from 60-digit hypergeometric values at
+#   l <= 1e-4): 9.1e-7 at l = 1e-3, 1.65 times of which is the bound.
+# odd_small_length_constants compares two double evaluations of the same
+# constant, each within a few ulp for n <= 99 (1.1e-15 apart at most).
 CHECKS: list[tuple[str, Callable[[], float], float]] = [
     ("small_length_constants", check_small_length_constants, 1e-14),
+    ("odd_small_length_constants", check_odd_small_length_constants, 1e-14),
     ("near_one_limit", check_near_one_limit, 7e-12),
     ("surface_limit", check_surface_limit, 3.3e-8),
     ("small_length_law", check_small_length_law, 1.5e-6),

@@ -3,11 +3,13 @@
 For a hyperbolic n-manifold with totally geodesic boundary, each
 orthogeodesic of length l contributes a kernel value, and the volume
 is the sum of those values over the orthospectrum.  The kernel is a closed
-Rogers dilogarithm expression for n = 2.  For n >= 3 it is a series in
-t = e^(-2l) from l = ln 2 / 2 (t <= 1/2) on, and below that a
-one-dimensional integral of the inner kernel, evaluated in the
-radial-angle parametrization.  A second, independent parametrization is
-kept as the tests' reference for the first.
+Rogers dilogarithm expression for n = 2.  For odd n >= 3 it is a closed
+form in s = 1 - e^(-2l), a polynomial of degree (n-3)/2 over s^(n-2),
+at every length.  For even n >= 4 it is a series in t = e^(-2l) from
+l = ln 2 / 2 (t <= 1/2) on, and below that a one-dimensional integral of
+the inner kernel, evaluated in the radial-angle parametrization.  A
+second, independent parametrization is kept as the tests' reference for
+the first.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ __all__ = [
     "large_length_coefficient",
 ]
 
-# from l = ln 2 / 2 on, t = e^(-2l) <= 1/2 and volume_kernel sums the series
+# from l = ln 2 / 2 on, t = e^(-2l) <= 1/2 and volume_kernel sums the
+# series for even n
 _SERIES_CUT = 0.5 * math.log(2.0)
 _EPS = sys.float_info.epsilon
 # the series stops once its tail bound is below this share of the sum;
@@ -37,6 +40,9 @@ _EPS = sys.float_info.epsilon
 # share
 _SERIES_TAIL = 2.0 ** -54
 _BUILD_TAIL = 2.0 ** -60
+_LN2 = math.log(2.0)
+_LN_PI = math.log(math.pi)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _log_of(value: float) -> float:
@@ -160,6 +166,12 @@ def large_length_coefficient(n: int) -> float:
     return math.exp(_log_large_length_coefficient(n))
 
 
+def _scaled_ratio(num: int, den: int) -> tuple[float, int]:
+    """(r, k) with num / den = r 2^k and r in [1/2, 2], r correctly rounded."""
+    shift = num.bit_length() - den.bit_length()
+    return (num << max(-shift, 0)) / (den << max(shift, 0)), shift
+
+
 def _log_large_length_coefficient(n: int) -> float:
     """log coef_n, finite for every n >= 3.
 
@@ -176,16 +188,16 @@ def _log_large_length_coefficient(n: int) -> float:
     else:
         m = n // 2
         num, den, p = (n - 2) * fact(m - 2) * 16**m * fact(m) ** 2, fact(2 * m) ** 2, m - 2
-    shift = num.bit_length() - den.bit_length()
-    ratio = (num << max(-shift, 0)) / (den << max(shift, 0))
-    return math.log(ratio) + shift * math.log(2.0) + p * math.log(math.pi)
+    ratio, shift = _scaled_ratio(num, den)
+    return math.log(ratio) + shift * _LN2 + p * _LN_PI
 
 
 @cache
 def _series_coefficients(n: int) -> tuple[float, list[float], list[float]]:
     """log coef_n and the coefficients g_K and e_K of the kernel's t-series.
 
-    With t = e^(-2l) and x = 2t, for n >= 3,
+    With t = e^(-2l) and x = 2t, for even n >= 4 (odd n has the closed
+    form of _odd_coefficients),
 
         F_n(l) = coef_n e^(-(n-1)l) sum_K x^K g_K (l + e_K),
 
@@ -193,8 +205,7 @@ def _series_coefficients(n: int) -> tuple[float, list[float], list[float]]:
 
         a_(K+1) = a_K (K+n-1)(2K+n-1) / ((K+1)(2K+n+1)),
         d_(K+1) = d_K + (n-3) / ((K+n-1)(2K+n+1)),   d_0 = 0,
-        c_n = H_((n-1)/2): H_m for n = 2m + 1, and
-              2 (1 + 1/3 + ... + 1/(n-1)) - 2 log 2 for even n.
+        c_n = H_((n-1)/2) = 2 (1 + 1/3 + ... + 1/(n-1)) - 2 log 2.
 
     (This is coef_n t^((n-1)/2) [(l + c_n) 2F1(n-1, (n-1)/2; (n+1)/2; t)
     minus the derivative of 2F1(n-1+s, (n-1)/2; (n+1)/2+s; t) in s at
@@ -211,11 +222,7 @@ def _series_coefficients(n: int) -> tuple[float, list[float], list[float]]:
     Past n ~ 500 the sum at the cut exceeds 2^500, where the squares in
     the stop tests could overflow, and this raises OverflowError.
     """
-    if n % 2:
-        summands = [1.0 / k for k in range(1, (n + 1) // 2)]
-    else:
-        summands = [2.0 / k for k in range(1, n, 2)] + [-2.0 * math.log(2.0)]
-    e = math.fsum(summands)
+    e = math.fsum([2.0 / k for k in range(1, n, 2)] + [-2.0 * _LN2])
     e_err = 0.0
     num = den = 1  # a_K / a_0 = num / den, exact
     gs: list[float] = []
@@ -241,7 +248,7 @@ def _series_coefficients(n: int) -> tuple[float, list[float], list[float]]:
 
 
 def _series_kernel(n: int, l: float) -> KernelValue:
-    """F_n(l) for n >= 3 and l >= ln 2 / 2 from its t-series.
+    """F_n(l) for even n >= 4 and l >= ln 2 / 2 from its t-series.
 
     The ratio of consecutive terms falls toward t (checked in exact
     rationals for n = 3..40, 60, 100; not proved), so the rest after a
@@ -290,22 +297,135 @@ def _series_kernel(n: int, l: float) -> KernelValue:
     return KernelValue(value, err, log_value)
 
 
+@cache
+def _odd_coefficients(n: int) -> tuple[float, float, float, float, list]:
+    """Constants and polynomial coefficients of the closed form for odd n.
+
+    For n = 2m + 1, with s = 1 - e^(-2l) (Euler's transformation of the
+    kernel's terminating 2F1),
+
+        F_n(l) = c e^(-(n-1)l) s^(2-n) (l P(s) + Q(s)),
+        c = pi^m p_0,   p_0 = C(2m-2, m-1) / (4^(m-1) m!),
+        P(s) = sum_(k<m) r_k s^k,   Q(s) = sum_(k<m) r_k e_k s^k,
+        r_0 = 1,   r_(k+1) = r_k (m-1-k) / (2m-2-k),
+        e_k = 1/(k+1) + ... + 1/(n-2) = H_(n-2) - H_k.
+
+    Every r_k and r_k e_k is positive and the correctly rounded ratio of
+    two exact integers, built in O(n) integer steps.  log c comes from
+    p_0 as exact integers scaled into [1/2, 2], as in
+    _log_large_length_coefficient, and c = ldexp of that ratio times
+    pi^m.  Returns (log c, c, l_max, x_max, [(r_k, r_k e_k)] from the
+    top degree down).
+
+    l_max and x_max bound where _odd_kernel evaluates in linear scale,
+    as c (l P + Q) u x^(n-2) with u = e^(-l) and x = u / s >= u.  There
+    (n-1) l < l_max (n-1) = 700 + min(log c, 0) keeps u x^(n-2) >=
+    e^(-(n-1)l) above e^-700 / min(c, 1); x < x_max = e^(690/(n-2))
+    keeps x^(n-2) below e^690; 1 <= l P + Q <= (350 + H_(n-2)) m and
+    log c <= 1.2, and log c > -300 with l < 350 keeps c u above e^-650.
+    So c, u, x^(n-2), every partial product and F itself are normal
+    doubles there.  Where log c <= -300 (n >= 229) l_max is 0.
+    """
+    m = (n - 1) // 2
+    fact = math.factorial
+    ratio, shift = _scaled_ratio(
+        fact(2 * m - 2), fact(m - 1) ** 2 * 4 ** (m - 1) * fact(m)
+    )
+    log_c = math.log(ratio) + shift * _LN2 + m * _LN_PI
+    if log_c > -300.0:
+        c = math.ldexp(ratio, shift) * math.pi**m
+        l_max = (700.0 + min(log_c, 0.0)) / (n - 1)
+        x_max = math.exp(690.0 / (n - 2))
+    else:
+        c = l_max = x_max = 0.0
+    # r_k = rn / rd and e_k = en / d with d = (n-2)!, all exact
+    d = fact(n - 2)
+    en = sum(d // j for j in range(1, n - 1))
+    rn = rd = 1
+    coefs = []
+    for k in range(m):
+        coefs.append((rn / rd, (rn * en) / (rd * d)))
+        en -= d // (k + 1)
+        rn *= m - 1 - k
+        rd *= 2 * m - 2 - k
+    coefs.reverse()
+    return log_c, c, l_max, x_max, coefs
+
+
+def _odd_kernel(n: int, l: float) -> KernelValue:
+    """F_n(l) for odd n >= 3 and every finite l > 0, in closed form.
+
+    Evaluates _odd_coefficients' form with s = -expm1(-2l), P and Q by
+    Horner's rule; every term is positive, so nothing cancels.  Where
+    the linear scale is safe (see _odd_coefficients) the value is
+    c (l P + Q) u x^(n-2) with u = e^(-l) and x = u / s.  Elsewhere it
+    is exp of log_value = log c - (n-1) l - (n-2) log s + log(l P + Q):
+    value is 0 or subnormal where F underflows, inf with an inf
+    estimate where F overflows, and log_value holds F in both (it is
+    -inf only past l = max double / (n-1), where log F is too).
+
+    The relative error estimate counts, in units of eps, to first order
+    and with exp, expm1, log and pow within an ulp (n = 2m + 1):
+    - linear scale, 4n + 3 >= 2.5 (n + m) + 4, from 2m + 1/2 for
+      l P + Q (m - 1 Horner steps on positive terms, s within 1 raised to
+      powers below m, the coefficients and the last two roundings); 1 for
+      u; 2.5 (n-2) + 1 for x^(n-2), x being within 2.5 (u, s, the
+      division); 0.2 m + 2 for c (pi^m from math.pi); 1.5 for the three
+      products;
+    - log scale, 5n + 2 + 5S, where S = |log c| + (n-1) l +
+      (n-2) |log s| + |log(l P + Q)| bounds every partial sum, from
+      3 |log c| + 6m + 4 for log c (its ratio, shift log 2 and m log pi);
+      half of (n-1) l for that product; n - 2 plus 1.5 times its size
+      for (n-2) log s; 2m + 1.5 plus 1.5 times its size for
+      log(l P + Q); 1.5 S for the three additions; 1 for exp.  That sums
+      to at most 5n + 0.5 + 4.5 S.
+    An ulp of the value joins the estimate for subnormal results.
+    """
+    log_c, c, l_max, x_max, coefs = _odd_coefficients(n)
+    s = -math.expm1(-2.0 * l)
+    p = q = 0.0
+    for r, e in coefs:
+        p = p * s + r
+        q = q * s + e
+    if l < l_max:
+        u = math.exp(-l)
+        x = u / s
+        if x < x_max:
+            value = c * (l * p + q) * u * x ** (n - 2)
+            return KernelValue(value, _EPS * (4 * n + 3) * value, math.log(value))
+    log_s = math.log(s)
+    # l P + Q overflows for l near the largest double, q / l for the least
+    log_total = math.log(l * p + q) if l < 1.0 else math.log(l) + math.log(p + q / l)
+    log_value = log_c - (n - 1) * l - (n - 2) * log_s + log_total
+    if log_value > _LOG_MAX:
+        return KernelValue(math.inf, math.inf, log_value)
+    value = math.exp(log_value)
+    size = abs(log_c) + (n - 1) * l + (n - 2) * abs(log_s) + abs(log_total)
+    err = math.ulp(value) + (_EPS * (5 * n + 2 + 5.0 * size) * value if value else 0.0)
+    return KernelValue(value, err, log_value)
+
+
 def volume_kernel(
     n: int, l: float, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> KernelValue:
     """Volume kernel for any dimension n >= 2.
 
-    n = 2 returns the closed form with zero error estimate.  For n >= 3,
-    lengths from l = ln 2 / 2 on sum the t-series (see _series_kernel),
-    whatever cfg asks: its relative error estimate is a few eps times
-    the term count plus (n-1) l, value is 0 only where F underflows, and
-    log_value holds F there.  Shorter lengths run the radial quadrature
-    under cfg, whose NonConvergenceError and OverflowError propagate.
+    n = 2 returns the closed form with zero error estimate.  Odd n >= 3
+    returns its closed form in s = 1 - e^(-2l) at every length (see
+    _odd_kernel).  Even n >= 4 sums the t-series from l = ln 2 / 2 on
+    (see _series_kernel) and runs the radial quadrature under cfg below
+    that, whose NonConvergenceError and OverflowError propagate; cfg
+    governs nothing else.  The closed form and the series return a
+    relative error estimate of a few eps times n, the term count or
+    (n-1) l, whatever cfg asks; value is 0 only where F underflows and
+    inf only where it overflows, and log_value holds F there.
     """
     _check_kernel_args(n, l, least_n=2)
     if n == 2:
         value = surface_kernel(l)
         return KernelValue(value, 0.0, _log_of(value))
+    if n % 2:
+        return _odd_kernel(n, l)
     if l >= _SERIES_CUT:
         return _series_kernel(n, l)
     return volume_kernel_radial(n, l, cfg)

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from orthovol import NonConvergenceError, QuadratureConfig, inner_kernel, volume_kernel
 from orthovol.quadrature import DEFAULT_CONFIG, _qk21, adaptive_quad
-from orthovol.volume_kernel import _shape_factor
+from orthovol.volume_kernel import _shape_factor, volume_kernel_radial
 
 
 class Counting:
@@ -146,28 +146,42 @@ def test_end_point_singularities_converge(f, exact):
 
 
 def test_non_convergence_gives_up_early(monkeypatch):
-    # F_13 at l = 7.3e-9: the integrand is rounding noise near theta = 0,
+    # the radial integral of F_13 at l = 7.3e-9 (volume_kernel takes the
+    # closed form there): the integrand is rounding noise near theta = 0,
     # and the stall count gives up on it in fewer integrand calls than
     # QUADPACK's QAGS made (819)
     module = importlib.import_module("orthovol.volume_kernel")
     counting = Counting(module.inner_kernel)
     monkeypatch.setattr(module, "inner_kernel", counting)
     with pytest.raises(NonConvergenceError):
-        volume_kernel(13, 7.30963e-9, DEFAULT_CONFIG)
+        volume_kernel_radial(13, 7.30963e-9, DEFAULT_CONFIG)
     assert counting.calls <= 819
 
 
-@pytest.mark.parametrize("n,l", [(39, 3.21403e-9), (41, 8.24944e-9)])
+# F_n(l) at the two points, from the 60-digit hypergeometric form of
+# tests/gen_series_reference.py; the benchmark's reference table
+# matches both to 1.2e-16
+NAN_BAND_KERNEL = {
+    (39, 3.21403e-9): "1.6068761201788042585e+295",
+    (41, 8.24944e-9): "6.5176490438167504898e+294",
+}
+
+
+@pytest.mark.parametrize("n,l", NAN_BAND_KERNEL)
 def test_non_finite_rule_raises_at_once(monkeypatch, n, l):
     # the inner kernel's closed form returns nan in a band of b - 1 for
-    # n >= 38: the first rule that sees it ends the integral, which
-    # raises instead of bisecting on to KernelValue(nan, nan)
+    # n >= 38: the first rule of the radial integral that sees it ends
+    # the integral, which raises instead of bisecting on to
+    # KernelValue(nan, nan).  volume_kernel takes the odd closed form
+    # there, within its estimate of F.
     module = importlib.import_module("orthovol.volume_kernel")
     counting = Counting(module.inner_kernel)
     monkeypatch.setattr(module, "inner_kernel", counting)
     with pytest.raises(NonConvergenceError, match="nan"):
-        volume_kernel(n, l, DEFAULT_CONFIG)
+        volume_kernel_radial(n, l, DEFAULT_CONFIG)
     assert counting.calls <= 100
+    kv = volume_kernel(n, l, DEFAULT_CONFIG)
+    assert abs(kv.value - float(NAN_BAND_KERNEL[n, l])) <= kv.err_estimate
 
 
 def test_non_finite_piece_raises_at_once():

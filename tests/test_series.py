@@ -1,4 +1,7 @@
-"""The t-series path of volume_kernel: n >= 3 from l = ln 2 / 2 on.
+"""volume_kernel for n >= 3 from l = ln 2 / 2 on: the t-series for even n.
+
+Odd n takes its closed form there (tests/test_odd_kernel.py); the table
+holds both, and every test here runs on every n in it.
 
 tests/data/series_reference.json holds F_n(l) from its hypergeometric
 form at 40 digits (written by tests/gen_series_reference.py) for
@@ -79,7 +82,7 @@ def test_series_never_integrates(monkeypatch):
             assert kv.value >= 0.0 and kv.err_estimate > 0.0
             assert kv.log_value < math.inf
     with pytest.raises(AssertionError, match="integrated"):
-        volume_kernel(3, math.nextafter(_SERIES_CUT, 0.0), DEFAULT_CONFIG)
+        volume_kernel(4, math.nextafter(_SERIES_CUT, 0.0), DEFAULT_CONFIG)
 
 
 @settings(max_examples=300, deadline=None)

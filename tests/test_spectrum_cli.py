@@ -9,6 +9,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from gen_series_reference import kernel as series_kernel_mp
 
 from orthovol import (
     DEFAULT_CONFIG,
@@ -274,6 +275,23 @@ def test_cli_fn_underflowing_kernel_prints_log_value(capsys):
     assert float(err_token) == math.ulp(0.0)
 
 
+def test_cli_fn_overflowing_kernel_prints_log_value(capsys):
+    # F_59(1e-9) ~ 1e479 is past the largest double: fn prints it from
+    # log_value, not as inf, next to an inf error estimate
+    assert main(["fn", "-n", "59", "-l", "1e-9"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    value_token, err_token = captured.out.split()
+    mantissa, exponent = value_token.split("e")
+    assert int(exponent) == 479 and 1.0 <= float(mantissa) < 10.0
+    with mpmath.workdps(60):
+        log_f = mpmath.log(series_kernel_mp(59, mpmath.mpf("1e-9")))
+        printed = mpmath.log(mpmath.mpf(mantissa)) + int(exponent) * mpmath.log(10)
+        # F to 1e-12 relative
+        assert abs(printed - log_f) <= 1e-12
+    assert float(err_token) == math.inf
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -293,9 +311,9 @@ def test_cli_rejects_flags_a_subcommand_ignores(argv):
 
 
 def test_cli_exit_code_non_convergence(capsys):
-    # below l = ln 2 / 2 the kernel integrates under the quadrature flags;
-    # from there on the t-series ignores them
-    assert main(["fn", "-n", "3", "-l", "0.3", "--maxsub", "1"]) == 3
+    # below l = ln 2 / 2 an even dimension integrates under the quadrature
+    # flags; from there on the t-series ignores them
+    assert main(["fn", "-n", "4", "-l", "0.3", "--maxsub", "1"]) == 3
     assert "error:" in capsys.readouterr().err
     assert main(["fn", "-n", "3", "-l", "1", "--maxsub", "1"]) == 0
 

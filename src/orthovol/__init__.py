@@ -16,12 +16,7 @@ from .inner_kernel import (
     inner_kernel,
     inner_kernel_asymptotics,
 )
-from .quadrature import (
-    DEFAULT_CONFIG,
-    KernelValue,
-    NonConvergenceError,
-    QuadratureConfig,
-)
+from .quadrature import KernelValue, NonConvergenceError
 from .special import rogers_l
 from .spectrum import SpectrumFormatError, parse_spectrum, spectrum_volume
 from .volume_kernel import (
@@ -35,11 +30,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundResult",
-    "DEFAULT_CONFIG",
     "KernelAsymptotics",
     "KernelValue",
     "NonConvergenceError",
-    "QuadratureConfig",
     "SpectrumFormatError",
     "collar_volume_factor",
     "inner_kernel",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quadrature import DEFAULT_CONFIG, NonConvergenceError, QuadratureConfig
+from .quadrature import NonConvergenceError
 from .volume_kernel import small_length_constant, volume_kernel
 
 __all__ = [
@@ -140,9 +140,7 @@ class BoundResult:
     power_floor: float
 
 
-def volume_bound(
-    n: int, area: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> BoundResult:
+def volume_bound(n: int, area: float) -> BoundResult:
     """Volume lower bound for an n-manifold with boundary area given.
 
     Solves kernel(2x) = area * collar_volume_factor(x) in log-log
@@ -171,7 +169,7 @@ def volume_bound(
 
     def kernel(t: float) -> float:
         if t not in kernel_at:
-            kernel_at[t] = volume_kernel(n, 2.0 * math.exp(t), cfg).value
+            kernel_at[t] = volume_kernel(n, 2.0 * math.exp(t)).value
         return kernel_at[t]
 
     def h(t: float) -> float:

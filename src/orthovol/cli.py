@@ -18,17 +18,11 @@ import sys
 
 from .bounds import collar_volume_factor, volume_bound
 from .inner_kernel import inner_kernel
-from .quadrature import KernelValue, NonConvergenceError, QuadratureConfig
+from .quadrature import KernelValue, NonConvergenceError
 from .spectrum import parse_spectrum, spectrum_volume
 from .volume_kernel import small_length_constant, volume_kernel
 
 __all__ = ["build_parser", "main", "app"]
-
-
-def _config_from(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(
-        rel_tol=args.rtol, abs_tol=args.atol, max_subdivisions=args.maxsub
-    )
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -52,7 +46,7 @@ def _fmt_kernel(kv: KernelValue, digits: int) -> str:
 
 
 def cmd_fn(args: argparse.Namespace) -> int:
-    kv = volume_kernel(args.dim, args.length, _config_from(args))
+    kv = volume_kernel(args.dim, args.length)
     print(_fmt_kernel(kv, args.digits), _fmt(kv.err_estimate, args.digits))
     return 0
 
@@ -72,7 +66,7 @@ def cmd_kn(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    res = volume_bound(args.dim, args.area, _config_from(args))
+    res = volume_bound(args.dim, args.area)
     print("crossing_length", _fmt(res.crossing_length, args.digits))
     print("bound", _fmt(res.bound, args.digits))
     print("power_floor", _fmt(res.power_floor, args.digits))
@@ -85,7 +79,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
     entries = parse_spectrum(text)
     if args.cutoff is not None:
         entries = [(length, mult) for length, mult in entries if length <= args.cutoff]
-    total, total_err, rows = spectrum_volume(args.dim, entries, _config_from(args))
+    total, total_err, rows = spectrum_volume(args.dim, entries)
     if args.per_term:
         for length, mult, value, err in rows:
             print(
@@ -123,7 +117,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     if not 0.0 < args.lmin < args.lmax:
         raise ValueError("need 0 < lmin < lmax")
     grid = _length_grid(args.lmin, args.lmax, args.steps, args.scale)
-    cfg = _config_from(args)
     header = ["l", "kernel", "err_estimate"]
     if args.floor:
         header.append("small_length_approx")
@@ -131,7 +124,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         header.append("collar_volume")
     rows = [header]
     for l in grid:
-        kv = volume_kernel(args.dim, l, cfg)
+        kv = volume_kernel(args.dim, l)
         row = [
             _fmt(l, args.digits),
             _fmt_kernel(kv, args.digits),
@@ -160,19 +153,17 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _digits(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # --digits for every subcommand that prints numbers, the quadrature
-    # flags on top for those that may integrate (even n below ln 2 / 2)
+    # --digits for every subcommand that prints numbers
     printing = argparse.ArgumentParser(add_help=False)
-    printing.add_argument("--digits", type=int, default=17,
+    printing.add_argument("--digits", type=_digits, default=17,
                           help="significant digits in output")
-    quad = argparse.ArgumentParser(add_help=False, parents=[printing])
-    quad.add_argument("--rtol", type=float, default=1e-9,
-                      help="relative quadrature tolerance (even n, l < ln 2 / 2)")
-    quad.add_argument("--atol", type=float, default=1e-12,
-                      help="absolute quadrature tolerance (even n, l < ln 2 / 2)")
-    quad.add_argument("--maxsub", type=int, default=2000,
-                      help="max quadrature subdivisions (even n, l < ln 2 / 2)")
 
     parser = argparse.ArgumentParser(
         prog="orthovol",
@@ -180,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fn", parents=[quad],
+    p = sub.add_parser("fn", parents=[printing],
                        help="volume kernel at a given length")
     p.add_argument("-n", "--dim", type=int, required=True)
     p.add_argument("-l", "--length", type=float, required=True)
@@ -197,13 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--dim", type=int)
     p.set_defaults(func=cmd_kn)
 
-    p = sub.add_parser("bound", parents=[quad],
+    p = sub.add_parser("bound", parents=[printing],
                        help="volume lower bound from boundary area")
     p.add_argument("-n", "--dim", type=int, required=True)
     p.add_argument("-A", "--area", type=float, required=True)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("sum", parents=[quad],
+    p = sub.add_parser("sum", parents=[printing],
                        help="volume from an orthospectrum file")
     p.add_argument("-n", "--dim", type=int, required=True)
     p.add_argument("spectrum", help="file of 'length [multiplicity]' lines")
@@ -212,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignore entries with length above this")
     p.set_defaults(func=cmd_sum)
 
-    p = sub.add_parser("table", parents=[quad],
+    p = sub.add_parser("table", parents=[printing],
                        help="CSV table of kernel values over a length grid")
     p.add_argument("-n", "--dim", type=int, required=True)
     p.add_argument("--lmin", type=float, required=True)

@@ -8,9 +8,11 @@ and its exits are those of QUADPACK's QAGS, so a call that one rule
 settles returns QAGS's bits; there is no extrapolation.  Both limits
 must be finite.
 
-On top of the loop sits the policy: a tolerance/limit config, a
-value-with-error result type, and a single call point that turns a
-missed error target into an exception instead of a warning.
+On top of the loop sits the policy: one error target (relative 1e-9,
+with an absolute floor of 1e-12 on the caller's scaled result) and one
+budget of 2000 subdivisions, a value-with-error result type, and a
+single call point that turns a missed target into an exception
+instead of a warning.
 """
 
 from __future__ import annotations
@@ -18,21 +20,15 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-__all__ = [
-    "QuadratureConfig",
-    "KernelValue",
-    "NonConvergenceError",
-    "DEFAULT_CONFIG",
-    "adaptive_quad",
-]
+__all__ = ["KernelValue", "NonConvergenceError", "adaptive_quad"]
 
-# Below ~50 machine epsilons the rule's error estimates are rounding
-# noise (dqk21 floors each at 50 eps times the integral of |f|), so
-# tighter relative tolerances are raised to this.
-_MIN_REL = 1.2e-14
+# the error target, max(_ABS_TOL, _REL_TOL |value|) on the scaled
+# result, and the most pieces the loop may hold
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-12
+_MAX_SUBDIVISIONS = 2000
 
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
@@ -71,29 +67,6 @@ _WG = (
 )
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerance and subdivision budget for the adaptive integrators.
-
-    rel_tol and abs_tol are combined as max(abs_tol, rel_tol * |value|);
-    an integral whose error estimate exceeds that target raises
-    NonConvergenceError rather than returning silently degraded output.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
-
-
 class KernelValue(NamedTuple):
     """Numerical kernel value, its error estimate and its logarithm.
 
@@ -109,7 +82,7 @@ class KernelValue(NamedTuple):
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised when an integral cannot meet the requested tolerance.
+    """Raised when an integral cannot meet its error target.
 
     Carries the best value and error estimate seen so callers can
     report them.
@@ -200,27 +173,21 @@ def _integrate(f, a, b, epsabs, epsrel, limit):
 
 
 def adaptive_quad(
-    integrand: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    *,
-    abs_tol: float | None = None,
+    integrand: Callable[[float], float], lo: float, hi: float, scale: float
 ) -> tuple[float, float]:
-    """Integrate integrand over (lo, hi) under the config's error policy.
+    """Integrate integrand over (lo, hi) for a caller that multiplies by scale.
 
-    Both limits must be finite.  abs_tol overrides the config's
-    absolute floor, for callers that scale the integral afterwards.
+    Both limits must be finite.  The absolute floor is divided by scale,
+    so that the scaled error estimate meets the module's target.
     Returns (value, err_estimate); raises NonConvergenceError unless the
-    estimate meets max(abs target, rel target * |value|), which a nan or
-    infinite estimate never does.
+    estimate meets max(abs floor / scale, rel target * |value|), which a
+    nan or infinite estimate never does.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
-    eps_rel = max(cfg.rel_tol, _MIN_REL)
-    eps_abs = cfg.abs_tol if abs_tol is None else abs_tol
-    value, err = _integrate(integrand, lo, hi, eps_abs, eps_rel, cfg.max_subdivisions)
-    target = max(eps_abs, eps_rel * abs(value))
+    eps_abs = _ABS_TOL / scale
+    value, err = _integrate(integrand, lo, hi, eps_abs, _REL_TOL, _MAX_SUBDIVISIONS)
+    target = max(eps_abs, _REL_TOL * abs(value))
     if not err <= target:
         raise NonConvergenceError(
             f"integral error estimate {err:.3e} exceeds target {target:.3e}",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .volume_kernel import volume_kernel
 
 __all__ = [
@@ -72,9 +71,7 @@ def parse_spectrum(text: str) -> list[tuple[float, int]]:
 
 
 def spectrum_volume(
-    n: int,
-    entries: list[tuple[float, int]],
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    n: int, entries: list[tuple[float, int]]
 ) -> tuple[float, float, list[tuple[float, int, float, float]]]:
     """Sum the volume kernel over a parsed spectrum.
 
@@ -89,7 +86,7 @@ def spectrum_volume(
     terms = []
     errs = []
     for length, mult in entries:
-        kv = volume_kernel(n, length, cfg)
+        kv = volume_kernel(n, length)
         rows.append((length, mult, kv.value, kv.err_estimate))
         terms.append(mult * kv.value)
         errs.append(mult * kv.err_estimate)

@@ -19,7 +19,7 @@ import sys
 from functools import cache
 
 from .inner_kernel import inner_kernel
-from .quadrature import DEFAULT_CONFIG, KernelValue, QuadratureConfig, adaptive_quad
+from .quadrature import KernelValue, adaptive_quad
 from .special import gamma_half_integer, harmonic, rogers_l, sphere_volume
 
 __all__ = [
@@ -61,9 +61,7 @@ def _check_kernel_args(n: int, l: float, least_n: int = 3) -> None:
         raise ValueError("length must be positive and finite")
 
 
-def volume_kernel_radial(
-    n: int, l: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> KernelValue:
+def volume_kernel_radial(n: int, l: float) -> KernelValue:
     """Volume kernel for n >= 3 in the radial-angle parametrization.
 
     The cross-section radius r = sin(theta) turns the kernel into
@@ -72,15 +70,14 @@ def volume_kernel_radial(
     theta = pi/2 the argument blows up and the integrand dies like
     cos^2(theta) log x.  The inner kernel is finite at every finite
     argument, so the integrand is evaluated as it stands everywhere.
+    e^(2l) - 1 comes from expm1: F ~ l^(2-n) carries n - 2 times its
+    relative error, which (e^l - 1)(e^l + 1) would make about eps / l.
     Raises OverflowError where e^(2l) leaves the double range
     (l > 354.89), and NonConvergenceError where the integral misses
     its target.
     """
     _check_kernel_args(n, l)
-    a = math.exp(l)
-    a2m1 = (a - 1.0) * (a + 1.0)
-    if a2m1 == math.inf:
-        raise OverflowError(f"e^(2l) overflows at l = {l!r}")
+    a2m1 = math.expm1(2.0 * l)
     shape = _shape_factor(n)
 
     def integrand(theta: float) -> float:
@@ -88,17 +85,11 @@ def volume_kernel_radial(
         x = math.sqrt(a2m1 + ct * ct) / ct
         return math.tan(theta) ** (n - 3) * inner_kernel(n, x)
 
-    # absolute target pre-divided by the prefactor so the scaled error
-    # estimate still meets the configured tolerance
-    value, err = adaptive_quad(
-        integrand, 0.0, 0.5 * math.pi, cfg, abs_tol=cfg.abs_tol / shape
-    )
+    value, err = adaptive_quad(integrand, 0.0, 0.5 * math.pi, shape)
     return KernelValue(shape * value, shape * err, _log_of(shape * value))
 
 
-def volume_kernel_alt(
-    n: int, l: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> KernelValue:
+def volume_kernel_alt(n: int, l: float) -> KernelValue:
     """Volume kernel for n >= 3, parametrized by the kernel argument.
 
     Substituting x = e^l cosh(w) moves the integration onto the
@@ -111,7 +102,7 @@ def volume_kernel_alt(
     """
     _check_kernel_args(n, l)
     a = math.exp(l)
-    a2m1 = (a - 1.0) * (a + 1.0)
+    a2m1 = math.expm1(2.0 * l)
     prefactor = _shape_factor(n) * a ** (n - 2) / a2m1 ** (0.5 * n - 2.0)
 
     def integrand(w: float) -> float:
@@ -120,9 +111,7 @@ def volume_kernel_alt(
         sh = math.sinh(w)
         return sh ** (n - 3) * ch * inner_kernel(n, x) / ((x - 1.0) * (x + 1.0))
 
-    value, err = adaptive_quad(
-        integrand, 0.0, 30.0, cfg, abs_tol=cfg.abs_tol / prefactor
-    )
+    value, err = adaptive_quad(integrand, 0.0, 30.0, prefactor)
     return KernelValue(prefactor * value, prefactor * err, _log_of(prefactor * value))
 
 
@@ -405,20 +394,18 @@ def _odd_kernel(n: int, l: float) -> KernelValue:
     return KernelValue(value, err, log_value)
 
 
-def volume_kernel(
-    n: int, l: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> KernelValue:
+def volume_kernel(n: int, l: float) -> KernelValue:
     """Volume kernel for any dimension n >= 2.
 
     n = 2 returns the closed form with zero error estimate.  Odd n >= 3
     returns its closed form in s = 1 - e^(-2l) at every length (see
     _odd_kernel).  Even n >= 4 sums the t-series from l = ln 2 / 2 on
-    (see _series_kernel) and runs the radial quadrature under cfg below
-    that, whose NonConvergenceError and OverflowError propagate; cfg
-    governs nothing else.  The closed form and the series return a
-    relative error estimate of a few eps times n, the term count or
-    (n-1) l, whatever cfg asks; value is 0 only where F underflows and
-    inf only where it overflows, and log_value holds F there.
+    (see _series_kernel) and runs the radial quadrature below that,
+    whose NonConvergenceError and OverflowError propagate.  The closed
+    form and the series return a relative error estimate of a few eps
+    times n, the term count or (n-1) l; value is 0 only where F
+    underflows and inf only where it overflows, and log_value holds F
+    there.
     """
     _check_kernel_args(n, l, least_n=2)
     if n == 2:
@@ -428,4 +415,4 @@ def volume_kernel(
         return _odd_kernel(n, l)
     if l >= _SERIES_CUT:
         return _series_kernel(n, l)
-    return volume_kernel_radial(n, l, cfg)
+    return volume_kernel_radial(n, l)

@@ -17,12 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from orthovol.inner_kernel import _check_ratio
-from orthovol.quadrature import (
-    DEFAULT_CONFIG,
-    KernelValue,
-    NonConvergenceError,
-    QuadratureConfig,
-)
+from orthovol.quadrature import KernelValue, NonConvergenceError
 from orthovol.special import sphere_volume
 
 
@@ -161,7 +156,7 @@ def _log_cross_ratio(u: float, v: float, b: float) -> float:
 
 
 def inner_kernel_integral(
-    n: int, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG
+    n: int, b: float, rel_tol: float = 1e-9, limit: int = 2000
 ) -> KernelValue:
     """Defining double integral of the inner kernel.
 
@@ -174,25 +169,30 @@ def inner_kernel_integral(
     (b-u) s/(1-s), 1-u as (b-1)(1-xi)/xi, and so on -- because
     reconstructing v or u first and subtracting loses all digits once
     b - 1 drops below about 1e-5.  The kink of the log factor at u = 0
-    lands at xi = (b-1)/b and is passed as a breakpoint.  The relative
-    budget cfg.rel_tol is split 97/3 between the outer pass and the
-    inner passes, keeping the combined error estimate within it;
-    cfg.abs_tol is not used.
+    lands at xi = (b-1)/b and is passed as a breakpoint.  The outer
+    pass runs over y = xi - lo, lo = (b-1)/(b+1), so that the log
+    singularity at xi = lo sits at y = 0, where doubles are dense: for
+    b past about 3e8, xi - lo formed from xi near 1 reaches 0 inside the
+    range.  1 - xi is formed as 2/(b+1) - y and 2 b xi - (b-1) as
+    (b-1) lo + 2 b y.  The relative budget rel_tol is split 97/3 between
+    the outer pass and the inner passes, keeping the combined error
+    estimate within it.
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
     _check_ratio(b)
     bm1 = b - 1.0
     lo = bm1 / (b + 1.0)
-    limit = cfg.max_subdivisions
+    width = 2.0 / (b + 1.0)
 
-    def outer(xi: float) -> float:
+    def outer(y: float) -> float:
+        xi = lo + y
         d = bm1 / xi
         a_const = (
-            math.log(2.0 * b * xi - bm1)
-            - math.log(1.0 - xi)
+            math.log(bm1 * lo + 2.0 * b * y)
+            - math.log(width - y)
             - math.log(b + 1.0)
-            - math.log(xi - lo)
+            - math.log(y)
         )
 
         def g(s: float) -> float:
@@ -206,18 +206,19 @@ def inner_kernel_integral(
             )
             return (a_const + s_part) * oms ** (n - 2)
 
-        val, _ = _quad(g, 0.0, 1.0, 0.03 * cfg.rel_tol, limit)
+        val, _ = _quad(g, 0.0, 1.0, 0.03 * rel_tol, limit)
         return val * xi ** (n - 3)
 
-    value, err = _quad(outer, lo, 1.0, 0.97 * cfg.rel_tol, limit, points=[bm1 / b])
+    kink = bm1 / (b * (b + 1.0))
+    value, err = _quad(outer, 0.0, width, 0.97 * rel_tol, limit, points=[kink])
     scale = bm1 ** (n - 2)
     value /= scale
-    err = err / scale + 0.03 * cfg.rel_tol * abs(value)
+    err = err / scale + 0.03 * rel_tol * abs(value)
     return KernelValue(value, err, math.log(value))
 
 
 def surface_kernel_integral(
-    l: float, cfg: QuadratureConfig = DEFAULT_CONFIG
+    l: float, rel_tol: float = 1e-9, limit: int = 2000
 ) -> KernelValue:
     """Double-integral form of surface_kernel.
 
@@ -231,7 +232,6 @@ def surface_kernel_integral(
     if not l > 0.0:
         raise ValueError("length must be positive")
     a = math.exp(l)
-    limit = cfg.max_subdivisions
 
     def inner(u: float) -> float:
         def tail(t: float) -> float:
@@ -239,12 +239,12 @@ def surface_kernel_integral(
             v = a + t / omt
             return _log_cross_ratio(u, v, a) / (v - u) ** 2 / (omt * omt)
 
-        val, _ = _quad(tail, 0.0, 1.0, 0.03 * cfg.rel_tol, limit)
+        val, _ = _quad(tail, 0.0, 1.0, 0.03 * rel_tol, limit)
         return val
 
-    value, err = _quad(inner, -1.0, 1.0, 0.97 * cfg.rel_tol, limit, points=[0.0])
+    value, err = _quad(inner, -1.0, 1.0, 0.97 * rel_tol, limit, points=[0.0])
     scale = 2.0 / math.pi
-    value, err = scale * value, scale * (err + 0.03 * cfg.rel_tol * abs(value))
+    value, err = scale * value, scale * (err + 0.03 * rel_tol * abs(value))
     return KernelValue(value, err, math.log(value))
 
 

@@ -21,8 +21,6 @@ from oracles import (
     volume_kernel_montecarlo,
 )
 from orthovol import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
     collar_volume_factor,
     inner_kernel,
     large_length_coefficient,
@@ -33,9 +31,6 @@ from orthovol import (
 )
 from orthovol.inner_kernel import _far_field_coefficients
 from orthovol.volume_kernel import volume_kernel_alt, volume_kernel_radial
-
-ORACLE_CFG = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-300)
-PURE_REL = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-300)
 
 SMALL_LENGTH_TABLE = [
     (3, math.pi / 2.0),
@@ -75,7 +70,7 @@ def test_c01_small_length_constant_table():
 
 
 def test_c02_volume_bound_sphere_area():
-    res = volume_bound(3, 4.0 * math.pi, DEFAULT_CONFIG)
+    res = volume_bound(3, 4.0 * math.pi)
     assert res.bound == pytest.approx(2.986, rel=1e-2)
 
 
@@ -83,7 +78,7 @@ def test_c02_volume_bound_sphere_area():
 def test_c03_inner_kernel_oracle_grid(n):
     for b in (1.1, 1.5, 2.0, 5.0, 10.0, 100.0):
         closed = inner_kernel(n, b)
-        oracle = inner_kernel_integral(n, b, ORACLE_CFG)
+        oracle = inner_kernel_integral(n, b, rel_tol=1e-8)
         assert oracle.value == pytest.approx(closed, rel=1e-6)
 
 
@@ -117,20 +112,20 @@ def test_c04_inner_kernel_far_field_asymptote():
 @pytest.mark.parametrize("n", range(3, 9))
 def test_c05_representation_equivalence(n):
     for l in (0.1, 0.5, 1.0, 2.0, 4.0):
-        radial = volume_kernel_radial(n, l, PURE_REL)
-        shell = volume_kernel_alt(n, l, PURE_REL)
+        radial = volume_kernel_radial(n, l)
+        shell = volume_kernel_alt(n, l)
         assert radial.value == pytest.approx(shell.value, rel=1e-8)
 
 
 def test_c06_surface_kernel_closed_form():
     for l in (0.1, 1.0, 3.0):
-        integral = surface_kernel_integral(l, ORACLE_CFG)
+        integral = surface_kernel_integral(l, rel_tol=1e-8)
         assert integral.value == pytest.approx(surface_kernel(l), rel=1e-6)
 
 
 def test_c07_small_length_law():
     for n in range(3, 7):
-        kv = volume_kernel(n, 1e-4, DEFAULT_CONFIG)
+        kv = volume_kernel(n, 1e-4)
         scaled = 1e-4 ** (n - 2) * kv.value
         assert scaled == pytest.approx(small_length_constant(n), rel=5e-3)
 
@@ -155,7 +150,7 @@ def test_c08_large_length_law():
     coef_n or c_n moves the value by at least 1.1e-3.
     """
     for n, c in LARGE_LENGTH_OFFSET_TABLE:
-        kv = volume_kernel(n, 8.0, PURE_REL)
+        kv = volume_kernel(n, 8.0)
         scaled = math.exp((n - 1) * 8.0) / 8.0 * kv.value
         want = large_length_coefficient(n) * (1.0 + c / 8.0)
         assert scaled == pytest.approx(want, rel=1e-5)
@@ -168,7 +163,7 @@ def test_c08_large_length_trend():
         coef = large_length_coefficient(n)
         devs = []
         for l in (8.0, 16.0):
-            kv = volume_kernel(n, l, PURE_REL)
+            kv = volume_kernel(n, l)
             scaled = math.exp((n - 1) * l) / l * kv.value
             devs.append(abs(scaled / coef - 1.0))
         assert devs[1] == pytest.approx(0.5 * devs[0], rel=1e-3)
@@ -177,7 +172,7 @@ def test_c08_large_length_trend():
 def test_c09_montecarlo_oracle():
     for l, seed in ((1.0, 20260801), (2.0, 20260802)):
         mc = volume_kernel_montecarlo(3, l, samples=10_000_000, seed=seed)
-        ref = volume_kernel_radial(3, l, DEFAULT_CONFIG)
+        ref = volume_kernel_radial(3, l)
         assert abs(mc.value - ref.value) <= 3.0 * mc.err_estimate
         assert mc.err_estimate <= 0.01 * ref.value
 
@@ -185,7 +180,7 @@ def test_c09_montecarlo_oracle():
 def test_c10_kernel_strictly_decreasing():
     for n in range(3, 7):
         values = [
-            volume_kernel(n, 0.05 * k, DEFAULT_CONFIG).value for k in range(1, 101)
+            volume_kernel(n, 0.05 * k).value for k in range(1, 101)
         ]
         assert all(v > 0.0 for v in values)
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -194,7 +189,7 @@ def test_c10_kernel_strictly_decreasing():
 def test_c10_bound_strictly_increasing():
     for n in (3, 4, 5):
         areas = [2.0**k for k in range(0, 11)]
-        bounds = [volume_bound(n, a, DEFAULT_CONFIG).bound for a in areas]
+        bounds = [volume_bound(n, a).bound for a in areas]
         assert all(b > a for a, b in zip(bounds, bounds[1:]))
 
 

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from orthovol import (
     BoundResult,
-    DEFAULT_CONFIG,
     NonConvergenceError,
     collar_volume_factor,
     power_law_floor,
@@ -85,7 +84,7 @@ def test_power_law_floor_validation():
 
 def test_volume_bound_sphere_area():
     # Boundary area 4 pi in dimension 3
-    res = volume_bound(3, 4.0 * math.pi, DEFAULT_CONFIG)
+    res = volume_bound(3, 4.0 * math.pi)
     assert isinstance(res, BoundResult)
     assert res.bound == pytest.approx(2.986, rel=1e-2)
     assert res.bound == pytest.approx(2.98607822881579, rel=1e-9)
@@ -113,8 +112,8 @@ def test_volume_bound_crossing_residual(n, area):
     # At the reported crossing the two sides of the defining equation
     # must agree to the kernel's quadrature tolerance; the root itself
     # is pinned to 1e-15 relative, far below it.
-    res = volume_bound(n, area, DEFAULT_CONFIG)
-    left = volume_kernel(n, 2.0 * res.crossing_length, DEFAULT_CONFIG).value
+    res = volume_bound(n, area)
+    left = volume_kernel(n, 2.0 * res.crossing_length).value
     right = area * collar_volume_factor(n, res.crossing_length)
     assert left == pytest.approx(right, rel=1e-8, abs=0.0)
     assert res.bound == pytest.approx(left, rel=1e-12)
@@ -132,12 +131,12 @@ def test_volume_bound_kernel_calls(n, area, monkeypatch):
     # it replaced needed 63.
     calls = []
 
-    def counting_kernel(dim, l, cfg=DEFAULT_CONFIG):
+    def counting_kernel(dim, l):
         calls.append(l)
-        return volume_kernel(dim, l, cfg)
+        return volume_kernel(dim, l)
 
     monkeypatch.setattr("orthovol.bounds.volume_kernel", counting_kernel)
-    res = volume_bound(n, area, DEFAULT_CONFIG)
+    res = volume_bound(n, area)
     assert len(calls) <= 12
     assert len(set(calls)) == len(calls)
     assert 2.0 * res.crossing_length in calls
@@ -180,7 +179,7 @@ HIGH_PRECISION_BOUNDS = [
 
 @pytest.mark.parametrize("n,area,crossing,bound", HIGH_PRECISION_BOUNDS)
 def test_volume_bound_high_precision_reference(n, area, crossing, bound):
-    res = volume_bound(n, area, DEFAULT_CONFIG)
+    res = volume_bound(n, area)
     assert res.crossing_length == pytest.approx(crossing, rel=1e-12)
     assert res.bound == pytest.approx(bound, rel=1e-12)
 
@@ -191,7 +190,7 @@ def test_volume_bound_tiny_area_takes_no_log_of_zero():
     # NonConvergenceError, never as a bound of 0 or a math-domain error
     # from log(0).
     try:
-        res = volume_bound(3, 1e-40, DEFAULT_CONFIG)
+        res = volume_bound(3, 1e-40)
     except NonConvergenceError:
         return
     assert math.isfinite(res.crossing_length)
@@ -199,8 +198,8 @@ def test_volume_bound_tiny_area_takes_no_log_of_zero():
 
 
 def test_volume_bound_monotone_in_area():
-    a = volume_bound(3, 4.0 * math.pi, DEFAULT_CONFIG).bound
-    b = volume_bound(3, 8.0 * math.pi, DEFAULT_CONFIG).bound
+    a = volume_bound(3, 4.0 * math.pi).bound
+    b = volume_bound(3, 8.0 * math.pi).bound
     assert b > a
 
 
@@ -209,12 +208,12 @@ def test_volume_bound_scaling_probe():
     # constant fitted at A = 1 floors the whole ladder; same floor in
     # dimension 4 with exponent 2/3.
     areas = (1.0, 10.0, 100.0, 1000.0)
-    r3 = [volume_bound(3, a, DEFAULT_CONFIG).bound / math.sqrt(a) for a in areas]
+    r3 = [volume_bound(3, a).bound / math.sqrt(a) for a in areas]
     assert max(r3) <= 1.35 * min(r3)
     for a, r in zip(areas, r3):
         assert r >= r3[0] * (1.0 - 1e-12)
     r4 = [
-        volume_bound(4, a, DEFAULT_CONFIG).bound / a ** (2.0 / 3.0) for a in areas
+        volume_bound(4, a).bound / a ** (2.0 / 3.0) for a in areas
     ]
     for r in r4:
         assert r >= r4[0] * (1.0 - 1e-12)
@@ -225,23 +224,23 @@ def test_volume_bound_scaling_exponent():
     # at A = 1e6 the absolute gap measures 0.009 (n=3) and 0.034 (n=4),
     # inside a 0.05 window.
     for n in (3, 4):
-        res = volume_bound(n, 1e6, DEFAULT_CONFIG)
+        res = volume_bound(n, 1e6)
         ratio = math.log(res.bound) / math.log(1e6)
         assert abs(ratio - (n - 2.0) / (n - 1.0)) <= 0.05
 
 
 def test_volume_bound_validation():
     with pytest.raises(ValueError):
-        volume_bound(2, 1.0, DEFAULT_CONFIG)
+        volume_bound(2, 1.0)
     with pytest.raises(ValueError):
-        volume_bound(3, 0.0, DEFAULT_CONFIG)
+        volume_bound(3, 0.0)
     with pytest.raises(ValueError):
-        volume_bound(3, -4.0, DEFAULT_CONFIG)
+        volume_bound(3, -4.0)
     with pytest.raises(ValueError):
-        volume_bound(3, float("nan"), DEFAULT_CONFIG)
+        volume_bound(3, float("nan"))
 
 
 def test_volume_bound_bracket_failure():
     with pytest.raises(NonConvergenceError):
-        volume_bound(3, float("inf"), DEFAULT_CONFIG)
+        volume_bound(3, float("inf"))
 

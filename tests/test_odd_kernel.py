@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthovol import DEFAULT_CONFIG, volume_kernel
+from orthovol import volume_kernel
 from orthovol.volume_kernel import _SERIES_CUT, _odd_coefficients
 
 EPS = sys.float_info.epsilon
@@ -50,7 +50,7 @@ def test_odd_within_its_estimate(n):
     for p in POINTS:
         if p["n"] != n:
             continue
-        kv = volume_kernel(n, p["l"], DEFAULT_CONFIG)
+        kv = volume_kernel(n, p["l"])
         ref, log_ref = float(p["value"]), float(p["log_value"])
         assert abs(kv.value - ref) <= kv.err_estimate + 4.0 * math.ulp(kv.value) or (
             kv.value == ref == math.inf and kv.err_estimate == math.inf
@@ -64,7 +64,7 @@ def test_odd_estimate_is_not_loose():
     for p in POINTS:
         ref = float(p["value"])
         if TINY <= ref < math.inf:
-            kv = volume_kernel(p["n"], p["l"], DEFAULT_CONFIG)
+            kv = volume_kernel(p["n"], p["l"])
             over.append(kv.err_estimate / (abs(kv.value - ref) + math.ulp(ref)))
     assert statistics.median(over) < 1e3
 
@@ -110,7 +110,7 @@ def test_odd_never_integrates(monkeypatch):
                _SERIES_CUT, 1.0, 1e4, 1e300, HUGE)
     for n in range(3, 100, 2):
         for l in lengths:
-            kv = volume_kernel(n, l, DEFAULT_CONFIG)
+            kv = volume_kernel(n, l)
             assert not math.isnan(kv.value + kv.err_estimate + kv.log_value)
             assert kv.value >= 0.0 and kv.err_estimate > 0.0
             if kv.value == math.inf:
@@ -119,7 +119,7 @@ def test_odd_never_integrates(monkeypatch):
                 # -inf only where log F itself is past the double range
                 assert math.isfinite(kv.log_value) or (n - 1) * l == math.inf
     with pytest.raises(AssertionError, match="left the closed form"):
-        volume_kernel(4, 0.1, DEFAULT_CONFIG)
+        volume_kernel(4, 0.1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -129,7 +129,7 @@ def test_odd_never_integrates(monkeypatch):
 )
 def test_odd_positive_and_decreasing(n, lengths):
     lo, hi = sorted(lengths)
-    near, far = (volume_kernel(n, l, DEFAULT_CONFIG) for l in (lo, hi))
+    near, far = (volume_kernel(n, l) for l in (lo, hi))
     for kv in (near, far):
         assert math.isfinite(kv.log_value)
         # 0 only where F rounds to 0, inf only where it overflows

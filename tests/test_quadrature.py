@@ -13,8 +13,15 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from orthovol import NonConvergenceError, QuadratureConfig, inner_kernel, volume_kernel
-from orthovol.quadrature import DEFAULT_CONFIG, _qk21, adaptive_quad
+from orthovol import NonConvergenceError, inner_kernel, quadrature, volume_kernel
+from orthovol.quadrature import (
+    _ABS_TOL,
+    _MAX_SUBDIVISIONS,
+    _REL_TOL,
+    _integrate,
+    _qk21,
+    adaptive_quad,
+)
 from orthovol.volume_kernel import _shape_factor, volume_kernel_radial
 
 
@@ -42,17 +49,9 @@ def radial_integrand(n, l):
     return integrand
 
 
-def ours(f, lo, hi, abs_tol, rel_tol, limit):
-    """(value, err) of adaptive_quad, also where it misses its target."""
-    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1.0, max_subdivisions=limit)
-    try:
-        return adaptive_quad(f, lo, hi, cfg, abs_tol=abs_tol)
-    except NonConvergenceError as exc:
-        return exc.value, exc.err_estimate
-
-
 def assert_agrees_with_quadpack(f, lo, hi, abs_tol, rel_tol, limit):
-    value, err = ours(f, lo, hi, abs_tol, rel_tol, limit)
+    # the loop's (value, err), also where it misses its target
+    value, err = _integrate(f, lo, hi, abs_tol, rel_tol, limit)
     ref, ref_err = quad(
         f, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1
     )[:2]
@@ -63,10 +62,9 @@ def assert_agrees_with_quadpack(f, lo, hi, abs_tol, rel_tol, limit):
 @pytest.mark.parametrize("n", [3, 5, 8])
 @pytest.mark.parametrize("l", [1e-3, 0.1, 1.0, 3.0, 12.0])
 def test_matches_quadpack_on_the_radial_kernel(n, l):
-    cfg = DEFAULT_CONFIG
     assert_agrees_with_quadpack(
         radial_integrand(n, l), 0.0, 0.5 * math.pi,
-        cfg.abs_tol / _shape_factor(n), cfg.rel_tol, cfg.max_subdivisions,
+        _ABS_TOL / _shape_factor(n), _REL_TOL, _MAX_SUBDIVISIONS,
     )
 
 
@@ -116,7 +114,7 @@ def test_matches_quadpack_on_singular_integrands(alpha, c, w, rel_tol, limit):
     def f(x):
         return abs(x - c) ** alpha * (1.0 + math.sin(w * x)) if x != c else 0.0
 
-    value, err = ours(f, 0.0, 1.0, 1e-300, rel_tol, limit)
+    value, err = _integrate(f, 0.0, 1.0, 1e-300, rel_tol, limit)
     assert abs(value - SINGULAR_EXACT[alpha, c, w]) <= err
     if (alpha, c, w) not in QAGS_MISSES:
         assert_agrees_with_quadpack(f, 0.0, 1.0, 1e-300, rel_tol, limit)
@@ -126,9 +124,7 @@ def test_matches_quadpack_on_singular_integrands(alpha, c, w, rel_tol, limit):
 def test_first_rule_exit_is_the_rule_itself(n, l):
     # one 21-point rule meets the target: value and error are its own bits
     f = Counting(radial_integrand(n, l))
-    cfg = DEFAULT_CONFIG
-    abs_tol = cfg.abs_tol / _shape_factor(n)
-    value, err = adaptive_quad(f, 0.0, 0.5 * math.pi, cfg, abs_tol=abs_tol)
+    value, err = adaptive_quad(f, 0.0, 0.5 * math.pi, _shape_factor(n))
     assert f.calls == 21
     assert (value, err) == _qk21(f.fn, 0.0, 0.5 * math.pi)[:2]
 
@@ -140,8 +136,7 @@ def test_first_rule_exit_is_the_rule_itself(n, l):
 )
 def test_end_point_singularities_converge(f, exact):
     # bisection alone reaches them: the piece at 0 shrinks geometrically
-    cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
-    value, err = adaptive_quad(f, 0.0, 1.0, cfg)
+    value, err = _integrate(f, 0.0, 1.0, 1e-300, 1e-12, 2000)
     assert abs(value - exact) <= err <= 1e-12 * abs(value)
 
 
@@ -154,7 +149,7 @@ def test_non_convergence_gives_up_early(monkeypatch):
     counting = Counting(module.inner_kernel)
     monkeypatch.setattr(module, "inner_kernel", counting)
     with pytest.raises(NonConvergenceError):
-        volume_kernel_radial(13, 7.30963e-9, DEFAULT_CONFIG)
+        volume_kernel_radial(13, 7.30963e-9)
     assert counting.calls <= 819
 
 
@@ -178,9 +173,9 @@ def test_non_finite_rule_raises_at_once(monkeypatch, n, l):
     counting = Counting(module.inner_kernel)
     monkeypatch.setattr(module, "inner_kernel", counting)
     with pytest.raises(NonConvergenceError, match="nan"):
-        volume_kernel_radial(n, l, DEFAULT_CONFIG)
+        volume_kernel_radial(n, l)
     assert counting.calls <= 100
-    kv = volume_kernel(n, l, DEFAULT_CONFIG)
+    kv = volume_kernel(n, l)
     assert abs(kv.value - float(NAN_BAND_KERNEL[n, l])) <= kv.err_estimate
 
 
@@ -189,26 +184,24 @@ def test_non_finite_piece_raises_at_once():
     # bisection toward the singularity at 1 meets it in the fifth rule
     f = Counting(lambda x: math.nan if x > 0.999 else (1.0 - x) ** -0.5)
     with pytest.raises(NonConvergenceError, match="nan"):
-        adaptive_quad(f, 0.0, 1.0)
+        adaptive_quad(f, 0.0, 1.0, 1.0)
     assert f.calls == 105
 
 
 def test_infinite_limits_raise():
     for lo, hi in ((0.0, math.inf), (-math.inf, 0.0)):
         with pytest.raises(ValueError, match="must be finite"):
-            adaptive_quad(lambda x: math.exp(-abs(x)), lo, hi)
+            adaptive_quad(lambda x: math.exp(-abs(x)), lo, hi, 1.0)
 
 
 @pytest.mark.parametrize(
-    "f,cfg",
-    [
-        (lambda x: 1.0 / x, DEFAULT_CONFIG),
-        (math.log, QuadratureConfig(max_subdivisions=1)),
-    ],
+    "f,budget",
+    [(lambda x: 1.0 / x, _MAX_SUBDIVISIONS), (math.log, 1)],
     ids=["divergent", "one_subdivision"],
 )
-def test_missed_target_raises_with_a_finite_value(f, cfg):
+def test_missed_target_raises_with_a_finite_value(monkeypatch, f, budget):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
     with pytest.raises(NonConvergenceError) as exc_info:
-        adaptive_quad(f, 0.0, 1.0, cfg)
+        adaptive_quad(f, 0.0, 1.0, 1.0)
     assert math.isfinite(exc_info.value.value)
     assert exc_info.value.err_estimate > 0.0

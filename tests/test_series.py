@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthovol import DEFAULT_CONFIG, volume_kernel
+from orthovol import volume_kernel
 from orthovol.volume_kernel import _SERIES_CUT
 
 EPS = sys.float_info.epsilon
@@ -44,7 +44,7 @@ def test_series_within_its_estimate(n):
     for p in POINTS:
         if p["n"] != n:
             continue
-        kv = volume_kernel(n, p["l"], DEFAULT_CONFIG)
+        kv = volume_kernel(n, p["l"])
         ref = float(p["value"])
         assert abs(kv.value - ref) <= kv.err_estimate + 4.0 * math.ulp(kv.value), p
         if ref < TINY:
@@ -60,7 +60,7 @@ def test_series_estimate_is_not_loose():
     for p in POINTS:
         ref = float(p["value"])
         if ref >= TINY:
-            kv = volume_kernel(p["n"], p["l"], DEFAULT_CONFIG)
+            kv = volume_kernel(p["n"], p["l"])
             over.append(kv.err_estimate / (abs(kv.value - ref) + math.ulp(ref)))
     assert statistics.median(over) < 1e3
 
@@ -78,11 +78,11 @@ def test_series_never_integrates(monkeypatch):
     lengths = (_SERIES_CUT, 0.5, 1.0, 5.0, 50.0, 400.0, 1e4, 1e300, sys.float_info.max)
     for n in range(3, 101):
         for l in lengths:
-            kv = volume_kernel(n, l, DEFAULT_CONFIG)
+            kv = volume_kernel(n, l)
             assert kv.value >= 0.0 and kv.err_estimate > 0.0
             assert kv.log_value < math.inf
     with pytest.raises(AssertionError, match="integrated"):
-        volume_kernel(4, math.nextafter(_SERIES_CUT, 0.0), DEFAULT_CONFIG)
+        volume_kernel(4, math.nextafter(_SERIES_CUT, 0.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -92,7 +92,7 @@ def test_series_never_integrates(monkeypatch):
 )
 def test_series_positive_and_decreasing(n, lengths):
     lo, hi = sorted(lengths)
-    near, far = (volume_kernel(n, l, DEFAULT_CONFIG) for l in (lo, hi))
+    near, far = (volume_kernel(n, l) for l in (lo, hi))
     for kv in (near, far):
         assert math.isfinite(kv.log_value)
         # 0 only where F rounds to 0

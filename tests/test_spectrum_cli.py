@@ -12,7 +12,6 @@ import pytest
 from gen_series_reference import kernel as series_kernel_mp
 
 from orthovol import (
-    DEFAULT_CONFIG,
     SpectrumFormatError,
     inner_kernel,
     parse_spectrum,
@@ -62,24 +61,24 @@ def test_parse_spectrum_errors_carry_line_numbers(text, line_no):
 
 
 def test_spectrum_volume_empty():
-    total, err, rows = spectrum_volume(3, [], DEFAULT_CONFIG)
+    total, err, rows = spectrum_volume(3, [])
     assert total == 0.0
     assert err == 0.0
     assert rows == []
 
 
 def test_spectrum_volume_multiplicity():
-    total, _, rows = spectrum_volume(3, [(1.0, 2)], DEFAULT_CONFIG)
-    single = volume_kernel(3, 1.0, DEFAULT_CONFIG).value
+    total, _, rows = spectrum_volume(3, [(1.0, 2)])
+    single = volume_kernel(3, 1.0).value
     assert total == pytest.approx(2.0 * single, rel=1e-14)
-    assert rows == [(1.0, 2, single, volume_kernel(3, 1.0, DEFAULT_CONFIG).err_estimate)]
+    assert rows == [(1.0, 2, single, volume_kernel(3, 1.0).err_estimate)]
 
 
 def test_spectrum_volume_compositional():
     entries = parse_spectrum(SAMPLE)
-    total, _, _ = spectrum_volume(3, entries, DEFAULT_CONFIG)
+    total, _, _ = spectrum_volume(3, entries)
     want = sum(
-        mult * volume_kernel(3, length, DEFAULT_CONFIG).value
+        mult * volume_kernel(3, length).value
         for length, mult in entries
     )
     assert total == pytest.approx(want, rel=1e-12)
@@ -91,7 +90,7 @@ def test_spectrum_volume_total_within_its_estimate():
     # within its estimate of the exact sum, rounding included
     rng = random.Random(16)
     entries = [(rng.uniform(_SERIES_CUT, 40.0), rng.randint(1, 1000)) for _ in range(100)]
-    total, total_err, _ = spectrum_volume(3, entries, DEFAULT_CONFIG)
+    total, total_err, _ = spectrum_volume(3, entries)
     with mpmath.workdps(40):
         exact = mpmath.fsum(
             mult * mpmath.pi * (1 + mpmath.mpf(l)) / mpmath.expm1(2 * mpmath.mpf(l))
@@ -103,7 +102,7 @@ def test_spectrum_volume_total_within_its_estimate():
 def test_cli_fn_round_trip(capsys):
     assert main(["fn", "-n", "3", "-l", "1"]) == 0
     value_token, err_token = capsys.readouterr().out.split()
-    kv = volume_kernel(3, 1.0, DEFAULT_CONFIG)
+    kv = volume_kernel(3, 1.0)
     # 17 significant digits must re-parse to the identical double
     assert float(value_token) == kv.value
     assert float(err_token) == kv.err_estimate
@@ -170,7 +169,7 @@ def test_cli_sum(tmp_path, capsys):
     assert main(["sum", "-n", "3", str(spectrum)]) == 0
     total_token, _ = capsys.readouterr().out.split()
     want = sum(
-        mult * volume_kernel(3, length, DEFAULT_CONFIG).value
+        mult * volume_kernel(3, length).value
         for length, mult in parse_spectrum(SAMPLE)
     )
     assert float(total_token) == pytest.approx(want, rel=1e-12)
@@ -185,8 +184,8 @@ def test_cli_sum_per_term_and_cutoff(tmp_path, capsys):
     assert len(lines) == 3
     total_token = lines[-1].split()[0]
     want = (
-        2.0 * volume_kernel(3, 0.5, DEFAULT_CONFIG).value
-        + volume_kernel(3, 1.0, DEFAULT_CONFIG).value
+        2.0 * volume_kernel(3, 0.5).value
+        + volume_kernel(3, 1.0).value
     )
     assert float(total_token) == pytest.approx(want, rel=1e-12)
 
@@ -221,7 +220,7 @@ def test_cli_table_endpoints_and_round_trip(capsys):
     for line, l in zip(lines[1:], (0.5, 2.0)):
         l_token, value_token, _ = line.split(",")
         assert float(l_token) == l
-        assert float(value_token) == volume_kernel(4, l, DEFAULT_CONFIG).value
+        assert float(value_token) == volume_kernel(4, l).value
 
 
 def test_cli_table_dimension_two_errors_are_zero(capsys):
@@ -292,6 +291,9 @@ def test_cli_fn_overflowing_kernel_prints_log_value(capsys):
     assert float(err_token) == math.inf
 
 
+QUADRATURE_FLAGS = [["--rtol", "1e-5"], ["--atol", "1e-3"], ["--maxsub", "10"]]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -300,22 +302,40 @@ def test_cli_fn_overflowing_kernel_prints_log_value(capsys):
         ["kn", "-n", "3", "--atol", "1e-3"],
         ["selftest", "--rtol", "1e-5"],
         ["selftest", "--digits", "3"],
+    ]
+    + [
+        command + flag
+        for command in (
+            ["fn", "-n", "4", "-l", "0.3"],
+            ["bound", "-n", "3", "-A", "10"],
+            ["sum", "-n", "3", "spectrum.txt"],
+            ["table", "-n", "4", "--lmin", "0.1", "--lmax", "1"],
+        )
+        for flag in QUADRATURE_FLAGS
     ],
 )
 def test_cli_rejects_flags_a_subcommand_ignores(argv):
-    # quadrature flags only on the subcommands that integrate, --digits
-    # only on those that print numbers
+    # no subcommand takes quadrature tolerances, and --digits is only on
+    # those that print numbers
     with pytest.raises(SystemExit) as exc_info:
         main(argv)
     assert exc_info.value.code == 2
 
 
+def test_cli_rejects_negative_digits(capsys):
+    # it used to reach the format string: "Format specifier missing precision"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["fn", "-n", "3", "-l", "1", "--digits", "-1"])
+    assert exc_info.value.code == 2
+    assert "argument --digits" in capsys.readouterr().err
+    assert main(["fn", "-n", "3", "-l", "1", "--digits", "0"]) == 0
+
+
 def test_cli_exit_code_non_convergence(capsys):
-    # below l = ln 2 / 2 an even dimension integrates under the quadrature
-    # flags; from there on the t-series ignores them
-    assert main(["fn", "-n", "4", "-l", "0.3", "--maxsub", "1"]) == 3
+    # below l = ln 2 / 2 an even dimension integrates, and F_8 at 3.6e-9
+    # misses the quadrature's target
+    assert main(["fn", "-n", "8", "-l", "3.55714e-9"]) == 3
     assert "error:" in capsys.readouterr().err
-    assert main(["fn", "-n", "3", "-l", "1", "--maxsub", "1"]) == 0
 
 
 def test_cli_exit_code_missing_file(capsys):

@@ -16,13 +16,12 @@ from oracles import (
     volume_kernel_montecarlo,
 )
 from orthovol import (
-    DEFAULT_CONFIG,
     NonConvergenceError,
-    QuadratureConfig,
     large_length_coefficient,
     surface_kernel,
     volume_kernel,
 )
+from orthovol.quadrature import _ABS_TOL, _REL_TOL
 from orthovol.volume_kernel import (
     _SERIES_CUT,
     volume_kernel_alt,
@@ -53,7 +52,7 @@ def kernel_grid():
     grid = {}
     for n in range(3, 7):
         ls = [0.05 * k for k in range(1, 101)]
-        grid[n] = (ls, [volume_kernel(n, l, DEFAULT_CONFIG).value for l in ls])
+        grid[n] = (ls, [volume_kernel(n, l).value for l in ls])
     return grid
 
 
@@ -163,7 +162,7 @@ def test_surface_kernel_special_point():
 
 @pytest.mark.parametrize("l,tol", [(0.1, 1e-5), (1.0, 1e-6), (3.0, 1e-8)])
 def test_surface_kernel_matches_integral(l, tol):
-    got = surface_kernel_integral(l, QuadratureConfig(rel_tol=1e-9, abs_tol=1e-300))
+    got = surface_kernel_integral(l, rel_tol=1e-9)
     assert got.value == pytest.approx(surface_kernel(l), rel=tol)
 
 
@@ -181,7 +180,7 @@ def test_large_length_coefficients():
 def test_small_length_band_dimension_three():
     # length times the dimension-3 kernel stays within 5% of pi/2 for l <= 0.05
     for l in (0.005, 0.01, 0.025, 0.05):
-        ratio = l * volume_kernel(3, l, DEFAULT_CONFIG).value / (math.pi / 2.0)
+        ratio = l * volume_kernel(3, l).value / (math.pi / 2.0)
         assert 0.95 <= ratio <= 1.05
 
 
@@ -191,17 +190,15 @@ def test_dispatcher_routes():
     # there on it is the t-series.  Odd dimensions take their own closed
     # form at every length.  Both agree with the quadrature within the two
     # estimates.
-    kv2 = volume_kernel(2, 1.0, DEFAULT_CONFIG)
+    kv2 = volume_kernel(2, 1.0)
     assert kv2.value == surface_kernel(1.0)
     assert kv2.err_estimate == 0.0
     for l in (0.1, math.nextafter(_SERIES_CUT, 0.0)):
-        assert volume_kernel(4, l, DEFAULT_CONFIG) == volume_kernel_radial(
-            4, l, DEFAULT_CONFIG
-        )
+        assert volume_kernel(4, l) == volume_kernel_radial(4, l)
     for n in (3, 5, 8):
         for l in (_SERIES_CUT, 1.0, 3.0):
-            series = volume_kernel(n, l, DEFAULT_CONFIG)
-            radial = volume_kernel_radial(n, l, DEFAULT_CONFIG)
+            series = volume_kernel(n, l)
+            radial = volume_kernel_radial(n, l)
             assert series != radial
             assert abs(series.value - radial.value) <= (
                 series.err_estimate + radial.err_estimate
@@ -214,7 +211,7 @@ def test_dispatcher_routes():
 def test_dimension_three_closed_form(l):
     # F_3(l) = pi (1 + l) / (e^(2l) - 1), from lengths where the
     # quadrature subdivides out to l = 300
-    kv = volume_kernel(3, l, DEFAULT_CONFIG)
+    kv = volume_kernel(3, l)
     exact = math.pi * (1.0 + l) / math.expm1(2.0 * l)
     assert kv.value == pytest.approx(exact, rel=1e-10, abs=0.0)
     assert abs(kv.value - exact) <= kv.err_estimate
@@ -226,7 +223,7 @@ def test_underflowing_kernel_keeps_log_value(l):
     # and rounds to 0 past l = 375.8: log_value still holds
     # log F_3 = log(pi (1 + l)) - 2l - log(1 - e^(-2l)), and value is F_3
     # within its estimate, 0 included
-    kv = volume_kernel(3, l, DEFAULT_CONFIG)
+    kv = volume_kernel(3, l)
     log_f = math.log(math.pi * (1.0 + l)) - 2.0 * l - math.log1p(-math.exp(-2.0 * l))
     assert abs(kv.log_value - log_f) <= 4.0 * EPS * 2.0 * l
     assert abs(kv.value - math.exp(log_f)) <= kv.err_estimate
@@ -237,7 +234,25 @@ def test_overflowing_inner_kernel_raises_overflow_error():
     # at l = 1e-8 the integrand reaches b = 1 + 2e-8, where m_60(b) is
     # past the double range: an error that names the inner kernel
     with pytest.raises(OverflowError, match=r"inner kernel m_n\(b\) leaves"):
-        volume_kernel(60, 1e-8, DEFAULT_CONFIG)
+        volume_kernel(60, 1e-8)
+
+
+# F_n(l) from the 60-digit hypergeometric form of
+# tests/gen_series_reference.py, and the relative error allowed
+SMALL_LENGTH_KERNEL = {
+    (6, 1e-8): ("2.9088820866572154078e+31", 1e-8),
+    (8, 1e-7): ("6.1410871828999614936e+40", 1e-10),
+    (10, 1e-7): ("1.0191459476820112253e+54", 1e-9),
+}
+
+
+@pytest.mark.parametrize("n,l", SMALL_LENGTH_KERNEL)
+def test_small_length_radial_keeps_e2l_minus_one(n, l):
+    # F ~ l^(2-n) carries n - 2 times the relative error of e^(2l) - 1:
+    # formed as (e^l - 1)(e^l + 1) that was about eps / l, and F missed
+    # by 4.0e-8, 4.0e-9 and 5.5e-9 here
+    want, rel = SMALL_LENGTH_KERNEL[n, l]
+    assert abs(volume_kernel(n, l).value / float(want) - 1.0) <= rel
 
 
 def test_volume_kernel_never_calls_alt(monkeypatch):
@@ -252,33 +267,31 @@ def test_volume_kernel_never_calls_alt(monkeypatch):
     module = importlib.import_module("orthovol.volume_kernel")
     monkeypatch.setattr(module, "volume_kernel_alt", fail)
     with pytest.raises(NonConvergenceError):
-        volume_kernel(8, 3.55714e-9, DEFAULT_CONFIG)
+        volume_kernel(8, 3.55714e-9)
 
 
 def test_dispatcher_validation():
     with pytest.raises(ValueError):
-        volume_kernel(1, 1.0, DEFAULT_CONFIG)
+        volume_kernel(1, 1.0)
     with pytest.raises(ValueError):
-        volume_kernel(3, 0.0, DEFAULT_CONFIG)
+        volume_kernel(3, 0.0)
     with pytest.raises(ValueError):
-        volume_kernel(3, -1.0, DEFAULT_CONFIG)
+        volume_kernel(3, -1.0)
     # an infinite length used to give 0 with error 0 (n >= 3) or nan
     for n in (2, 3):
         with pytest.raises(ValueError):
-            volume_kernel(n, math.inf, DEFAULT_CONFIG)
+            volume_kernel(n, math.inf)
     for fn in (volume_kernel_radial, volume_kernel_alt):
         with pytest.raises(ValueError):
             fn(3, math.inf)
 
 
 def test_err_estimate_within_tolerance():
-    # The reported error must respect the configured tolerances even
+    # The reported error must respect the quadrature's target even
     # where the kernel value is tiny and internal prefactors are large.
     for n, l in ((3, 0.1), (5, 1.0), (8, 4.0)):
-        kv = volume_kernel(n, l, DEFAULT_CONFIG)
-        allowed = max(
-            DEFAULT_CONFIG.abs_tol, DEFAULT_CONFIG.rel_tol * abs(kv.value)
-        )
+        kv = volume_kernel(n, l)
+        allowed = max(_ABS_TOL, _REL_TOL * abs(kv.value))
         assert kv.err_estimate <= allowed
 
 
@@ -314,7 +327,7 @@ def test_decay_envelope_exists(kernel_grid):
         )
         for k in range(1, 41):
             l = 0.125 * k - 0.0125
-            v = volume_kernel(n, l, DEFAULT_CONFIG).value
+            v = volume_kernel(n, l).value
             assert v * math.expm1(l) ** (n - 2) <= c
 
 
@@ -333,6 +346,6 @@ def test_montecarlo_raises_when_noisy():
 
 def test_montecarlo_agrees_dimension_four():
     kv = volume_kernel_montecarlo(4, 1.0, samples=400_000, seed=7)
-    ref = volume_kernel(4, 1.0, DEFAULT_CONFIG).value
+    ref = volume_kernel(4, 1.0).value
     assert abs(kv.value - ref) <= 4.0 * kv.err_estimate
     assert kv.err_estimate <= 0.01 * ref

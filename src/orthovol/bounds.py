@@ -11,10 +11,10 @@ floor A^((n-2)/(n-1)) up to a computable constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .quadrature import NonConvergenceError
-from .volume_kernel import small_length_constant, volume_kernel
+from .volume_kernel import _small_length_constant, volume_kernel
 
 __all__ = [
     "collar_volume_factor",
@@ -113,19 +113,20 @@ def collar_volume_factor(n: int, r: float) -> float:
 
 
 def power_law_floor(n: int, area: float) -> float:
-    """Power-law floor (c * area / 2)^((n-2)/(n-1)) on the volume.
+    """Power-law floor (K_n * area / 2)^((n-2)/(n-1)) on the volume.
 
-    c is the small-length constant of the volume kernel.
+    K_n is the small-length constant of the volume kernel.  The power is
+    taken in logs, so the floor stays finite where K_n underflows.
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
     if not area > 0.0:
         raise ValueError("area must be positive")
-    return (0.5 * small_length_constant(n) * area) ** ((n - 2.0) / (n - 1.0))
+    log_k = _small_length_constant(n)[1]
+    return math.exp((n - 2.0) / (n - 1.0) * (log_k + math.log(area) - _LOG2))
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """Solution of the collar crossing equation.
 
     crossing_length: half-width x where kernel(2x) equals the collar
@@ -178,9 +179,7 @@ def volume_bound(n: int, area: float) -> BoundResult:
             return -math.inf
         return math.log(f) - log_area - math.log(collar_volume_factor(n, math.exp(t)))
 
-    t0 = (
-        math.log(small_length_constant(n)) + (2.0 - n) * _LOG2 - log_area
-    ) / (n - 1.0)
+    t0 = (_small_length_constant(n)[1] + (2.0 - n) * _LOG2 - log_area) / (n - 1.0)
     t0 = min(max(t0, _LOG_SEED_LO), 0.0)
     lo, hi = t0 - _LOG2, t0 + _LOG2
     while h(lo) <= 0.0:

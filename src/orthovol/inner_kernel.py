@@ -16,9 +16,9 @@ closed form for n <= 100.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from operator import mul
+from typing import NamedTuple
 
 from .special import harmonic, truncated_log
 
@@ -251,8 +251,7 @@ def _far_field(n: int, b: float) -> float:
     return math.ldexp(acc, shift)
 
 
-@dataclass(frozen=True)
-class KernelAsymptotics:
+class KernelAsymptotics(NamedTuple):
     """Leading coefficients of the kernel at the two ends of its range.
 
     near_one_coefficient: limit of the kernel as b -> 1+ after

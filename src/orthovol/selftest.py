@@ -39,9 +39,9 @@ def check_small_length_constants() -> float:
 
 def check_odd_small_length_constants() -> float:
     # the odd closed form's l -> 0 limit, pi^m p_0 e_0 / 2^(n-2), against
-    # the constants' gamma-function form
+    # K_n's gamma-function form, over every odd n whose c is kept
     worst = 0.0
-    for n in range(3, 100, 2):
+    for n in range(3, 229, 2):
         _, c, _, _, coefs = _odd_coefficients(n)
         # coefs run from the top degree down: the last is (r_0, r_0 e_0)
         limit = c * coefs[-1][1] / 2.0 ** (n - 2)
@@ -91,8 +91,9 @@ def check_small_length_law() -> float:
 #   (identified to 1e-9 from 30-digit radial integrals at l <= 1e-4) and
 #   c_5 = 10/11 (to 1e-8 from 60-digit hypergeometric values at
 #   l <= 1e-4): 9.1e-7 at l = 1e-3, 1.65 times of which is the bound.
-# odd_small_length_constants compares two double evaluations of the same
-# constant, each within a few ulp for n <= 99 (1.1e-15 apart at most).
+# odd_small_length_constants compares two exact-integer builds of the
+# same constant, each within a few ulp for n <= 227 (3.1e-16 apart at
+# most).
 CHECKS: list[tuple[str, Callable[[], float], float]] = [
     ("small_length_constants", check_small_length_constants, 1e-14),
     ("odd_small_length_constants", check_odd_small_length_constants, 1e-14),

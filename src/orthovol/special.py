@@ -1,10 +1,13 @@
 """Elementary special functions shared by the kernel modules.
 
 Everything here is scalar float math: partial sums of the logarithm
-series, half-integer gamma values, sphere and ball volumes, and the
-dilogarithm together with its Rogers normalization.  These are small
-enough that hand-rolled versions beat pulling in mpmath, and the kernel
-code needs them in tight loops.
+series, harmonic numbers, and the dilogarithm together with its Rogers
+normalization.  These are small enough that hand-rolled versions beat
+pulling in mpmath, and the kernel code needs them in tight loops.
+
+The kernel's gamma-function constants are each a rational times a power
+of pi, and volume_kernel builds them from exact integers: a float product
+of gamma values fails from n = 131, while K_n is normal up to n = 326.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ __all__ = [
     "partial_log_series",
     "harmonic",
     "truncated_log",
-    "gamma_half_integer",
-    "sphere_volume",
     "dilogarithm",
     "rogers_l",
 ]
@@ -90,38 +91,6 @@ def truncated_log(n: int, x: float, log_one_minus: float | None = None) -> float
     if log_one_minus is None:
         log_one_minus = math.log(abs(1.0 - x))
     return log_one_minus + partial_log_series(n, x)
-
-
-def gamma_half_integer(x: float) -> float:
-    """Gamma(x) for x a positive multiple of 1/2.
-
-    Built by the recursion Gamma(x+1) = x*Gamma(x) from Gamma(1) = 1 and
-    Gamma(1/2) = sqrt(pi), so half-integer values are exact products.
-    """
-    two_x = 2.0 * x
-    if two_x != math.floor(two_x) or x <= 0.0:
-        raise ValueError("argument must be a positive half-integer")
-    if int(two_x) % 2 == 0:
-        value = 1.0
-        arg = 1.0
-    else:
-        value = math.sqrt(math.pi)
-        arg = 0.5
-    while arg < x - 0.25:
-        value *= arg
-        arg += 1.0
-    return value
-
-
-def sphere_volume(k: int) -> float:
-    """Volume (k-dimensional measure) of the unit k-sphere in R^(k+1).
-
-    2 pi^((k+1)/2) / Gamma((k+1)/2).  k = 0 gives 2, the point pair.
-    """
-    if k < 0:
-        raise ValueError("dimension must be >= 0")
-    half = 0.5 * (k + 1)
-    return 2.0 * math.pi ** half / gamma_half_integer(half)
 
 
 def dilogarithm(x: float) -> float:

@@ -20,7 +20,7 @@ from functools import cache
 
 from .inner_kernel import inner_kernel
 from .quadrature import KernelValue, adaptive_quad
-from .special import gamma_half_integer, harmonic, rogers_l, sphere_volume
+from .special import rogers_l
 
 __all__ = [
     "volume_kernel",
@@ -49,9 +49,37 @@ def _log_of(value: float) -> float:
     return math.log(value) if value > 0.0 else -math.inf
 
 
+def _pi_rational(num: int, den: int, p: int) -> tuple[float, float]:
+    """(num / den pi^p, its log) for integers num, den > 0 and p >= 0.
+
+    With num / den = r 2^k, r in [1/2, 2] correctly rounded, the log is
+    log r + k log 2 + p log pi and the value r (pi/4)^p 2^(k+2p), whose
+    (pi/4)^p stays normal up to p ~ 2900 (pi^p overflows from p = 621).
+    A normal value is within 0.36 p + 1 ulp (math.pi is 0.18 eps off);
+    below that range it rounds to a subnormal or 0.
+    """
+    shift = num.bit_length() - den.bit_length()
+    r = (num << max(-shift, 0)) / (den << max(shift, 0))
+    value = math.ldexp(r * (0.25 * math.pi) ** p, shift + 2 * p)
+    return value, math.log(r) + shift * _LN2 + p * _LN_PI
+
+
+@cache
 def _shape_factor(n: int) -> float:
-    """Cross-section constant 2 V(n-2) V(n-3) / V(n-1) in sphere volumes."""
-    return 2.0 * sphere_volume(n - 2) * sphere_volume(n - 3) / sphere_volume(n - 1)
+    """Cross-section constant 2 V(n-2) V(n-3) / V(n-1), V(k) the k-sphere's measure.
+
+    2 (n-2) pi^(m-1) / (m-1)! for n = 2m + 1 and 4^m (m-1) (m-1)! pi^(m-2)
+    / (2m-2)! for n = 2m, from exact integers: a normal double up to
+    n = 441, within 0.36 p + 1 ulp (p the power of pi); 0 from n = 459.
+    """
+    fact = math.factorial
+    if n % 2:
+        m = (n - 1) // 2
+        num, den, p = 2 * (n - 2), fact(m - 1), m - 1
+    else:
+        m = n // 2
+        num, den, p = 4**m * (m - 1) * fact(m - 1), fact(2 * m - 2), m - 2
+    return _pi_rational(num, den, p)[0]
 
 
 def _check_kernel_args(n: int, l: float, least_n: int = 3) -> None:
@@ -127,48 +155,47 @@ def surface_kernel(l: float) -> float:
     return 4.0 / math.pi * rogers_l(sech2)
 
 
+@cache
+def _small_length_constant(n: int) -> tuple[float, float]:
+    """(K_n, log K_n) from exact integers, with H_(n-2) = h / d."""
+    fact = math.factorial
+    d = fact(n - 2)
+    h = sum(d // j for j in range(1, n - 1))
+    if n % 2:
+        m = (n - 1) // 2
+        num = 2 * h * fact(2 * m + 2) * fact(2 * m - 2)
+        den = d * 4 ** (2 * m) * fact(m + 1) * fact(m - 1) * n * fact(m) * fact(2 * m - 1)
+        p = m
+    else:
+        m = n // 2
+        num = 2 * h * fact(m) ** 2 * fact(m - 2) * 4**m
+        den = d * n * fact(2 * m) * fact(2 * m - 2)
+        p = m - 2
+    return _pi_rational(num, den, p)
+
+
 def small_length_constant(n: int) -> float:
-    """Coefficient of l^(2-n) in the kernel's small-length law.
+    """Coefficient K_n of l^(2-n) in the kernel's small-length law.
 
-    2 pi^((n-3)/2) harmonic(n-2) Gamma(n/2 + 1) Gamma(n/2 - 1) /
-    (n Gamma((n+1)/2) Gamma(n-1)).
+    2 pi^((n-3)/2) H_(n-2) Gamma(n/2 + 1) Gamma(n/2 - 1) / (n Gamma((n+1)/2)
+    Gamma(n-1)), built from exact integers: 2 H m!^2 (m-2)! 4^m pi^(m-2) /
+    (n (2m)! (2m-2)!) for n = 2m and 2 H (2m+2)! (2m-2)! pi^m /
+    (4^(2m) (m+1)! (m-1)! n m! (2m-1)!) for n = 2m + 1.  A normal double
+    up to n = 326 (K_326 ~ 3e-308), within 0.36 p + 1 ulp (p the power of
+    pi); subnormal from n = 327 and 0 from n = 340.
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
-    return (
-        2.0
-        * math.pi ** (0.5 * (n - 3))
-        * harmonic(n - 2)
-        * gamma_half_integer(0.5 * n + 1.0)
-        * gamma_half_integer(0.5 * n - 1.0)
-        / (n * gamma_half_integer(0.5 * (n + 1)) * gamma_half_integer(n - 1.0))
-    )
+    return _small_length_constant(n)[0]
 
 
-def large_length_coefficient(n: int) -> float:
-    """Coefficient of l e^(-(n-1) l) in the kernel's decay law.
+@cache
+def _large_length_coefficient(n: int) -> tuple[float, float]:
+    """(coef_n, log coef_n), the log finite for every n >= 3.
 
-    (n-2) pi^((n-2)/2) Gamma(n/2 - 1) / Gamma((n+1)/2)^2.
-    """
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
-    return math.exp(_log_large_length_coefficient(n))
-
-
-def _scaled_ratio(num: int, den: int) -> tuple[float, int]:
-    """(r, k) with num / den = r 2^k and r in [1/2, 2], r correctly rounded."""
-    shift = num.bit_length() - den.bit_length()
-    return (num << max(-shift, 0)) / (den << max(shift, 0)), shift
-
-
-def _log_large_length_coefficient(n: int) -> float:
-    """log coef_n, finite for every n >= 3.
-
-    coef_n = R pi^p with R rational: for n = 2m + 1,
-    R = (n-2) (2m-2)! / (4^(m-1) (m-1)! m!^2) and p = m; for n = 2m,
-    R = (n-2) (m-2)! 16^m m!^2 / (2m)!^2 and p = m - 2.  R is formed from
-    exact integers and scaled into [1/2, 2] before its log is taken, so
-    the result is within a few ulp of |log coef_n| + 2n.
+    coef_n = R pi^p with R = (n-2) (2m-2)! / (4^(m-1) (m-1)! m!^2), p = m
+    for n = 2m + 1 and R = (n-2) (m-2)! 16^m m!^2 / (2m)!^2, p = m - 2 for
+    n = 2m.
     """
     fact = math.factorial
     if n % 2:
@@ -177,8 +204,17 @@ def _log_large_length_coefficient(n: int) -> float:
     else:
         m = n // 2
         num, den, p = (n - 2) * fact(m - 2) * 16**m * fact(m) ** 2, fact(2 * m) ** 2, m - 2
-    ratio, shift = _scaled_ratio(num, den)
-    return math.log(ratio) + shift * _LN2 + p * _LN_PI
+    return _pi_rational(num, den, p)
+
+
+def large_length_coefficient(n: int) -> float:
+    """Coefficient of l e^(-(n-1) l) in the kernel's decay law.
+
+    (n-2) pi^((n-2)/2) Gamma(n/2 - 1) / Gamma((n+1)/2)^2, from exact integers.
+    """
+    if n < 3:
+        raise ValueError("dimension must be >= 3")
+    return _large_length_coefficient(n)[0]
 
 
 @cache
@@ -233,7 +269,7 @@ def _series_coefficients(n: int) -> tuple[float, list[float], list[float]]:
         num *= (k + n - 1) * (2 * k + n - 1)
         den *= (k + 1) * (2 * k + n + 1)
         k += 1
-    return _log_large_length_coefficient(n), gs, es
+    return _large_length_coefficient(n)[1], gs, es
 
 
 def _series_kernel(n: int, l: float) -> KernelValue:
@@ -300,11 +336,10 @@ def _odd_coefficients(n: int) -> tuple[float, float, float, float, list]:
         e_k = 1/(k+1) + ... + 1/(n-2) = H_(n-2) - H_k.
 
     Every r_k and r_k e_k is positive and the correctly rounded ratio of
-    two exact integers, built in O(n) integer steps.  log c comes from
-    p_0 as exact integers scaled into [1/2, 2], as in
-    _log_large_length_coefficient, and c = ldexp of that ratio times
-    pi^m.  Returns (log c, c, l_max, x_max, [(r_k, r_k e_k)] from the
-    top degree down).
+    two exact integers, built in O(n) integer steps.  c and log c come
+    from p_0 in exact integers (_pi_rational); c is kept where
+    log c > -300 (n <= 227) and is 0 beyond.  Returns (log c, c, l_max,
+    x_max, [(r_k, r_k e_k)] from the top degree down).
 
     l_max and x_max bound where _odd_kernel evaluates in linear scale,
     as c (l P + Q) u x^(n-2) with u = e^(-l) and x = u / s >= u.  There
@@ -317,12 +352,8 @@ def _odd_coefficients(n: int) -> tuple[float, float, float, float, list]:
     """
     m = (n - 1) // 2
     fact = math.factorial
-    ratio, shift = _scaled_ratio(
-        fact(2 * m - 2), fact(m - 1) ** 2 * 4 ** (m - 1) * fact(m)
-    )
-    log_c = math.log(ratio) + shift * _LN2 + m * _LN_PI
+    c, log_c = _pi_rational(fact(2 * m - 2), fact(m - 1) ** 2 * 4 ** (m - 1) * fact(m), m)
     if log_c > -300.0:
-        c = math.ldexp(ratio, shift) * math.pi**m
         l_max = (700.0 + min(log_c, 0.0)) / (n - 1)
         x_max = math.exp(690.0 / (n - 2))
     else:

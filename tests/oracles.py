@@ -18,7 +18,6 @@ from scipy.integrate import quad
 
 from orthovol.inner_kernel import _check_ratio
 from orthovol.quadrature import KernelValue, NonConvergenceError
-from orthovol.special import sphere_volume
 
 
 def _quad(f, lo, hi, rel_tol, limit, points=None):
@@ -274,7 +273,8 @@ def volume_kernel_montecarlo(
     a = math.exp(l)
     d = n - 1
     rng = np.random.default_rng(seed)
-    surf = sphere_volume(d - 1)
+    # measure of the unit (d-1)-sphere
+    surf = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
     vol_ball = surf / d
     total = 0.0
     total_sq = 0.0
@@ -314,7 +314,8 @@ def volume_kernel_montecarlo(
         done += c
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0) / samples
-    scale = 4.0 / sphere_volume(n - 1)
+    # 4 over the measure of the unit (n-1)-sphere
+    scale = 2.0 * math.gamma(0.5 * n) / math.pi ** (0.5 * n)
     value = scale * mean
     err = scale * math.sqrt(var)
     if err > 0.01 * abs(value):

@@ -184,6 +184,18 @@ def test_volume_bound_high_precision_reference(n, area, crossing, bound):
     assert res.bound == pytest.approx(bound, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [131, 301, 601])
+@pytest.mark.parametrize("area", [1e-40, 1.0, 1e6])
+def test_volume_bound_past_the_gamma_overflow(n, area):
+    # The bracket's seed and the floor come from log K_n, finite where
+    # K_n underflows (n >= 327).  Odd n has the closed form at every
+    # length, so the crossing is solved to the kernel's own accuracy.
+    res = volume_bound(n, area)
+    right = area * collar_volume_factor(n, res.crossing_length)
+    assert abs(res.bound / right - 1.0) <= 6e-13
+    assert math.isfinite(res.power_floor)
+
+
 def test_volume_bound_tiny_area_takes_no_log_of_zero():
     # At n = 3 and area 1e-40 the crossing lies at 2x = 33, where the
     # kernel is about 3e-27.  That must come out as a positive bound or

@@ -6,11 +6,9 @@ import pytest
 
 from orthovol.special import (
     dilogarithm,
-    gamma_half_integer,
     harmonic,
     partial_log_series,
     rogers_l,
-    sphere_volume,
     truncated_log,
 )
 
@@ -95,35 +93,6 @@ def test_truncated_log_matches_brute_tail(n, x):
 def test_truncated_log_pole_rejected():
     with pytest.raises(ValueError):
         truncated_log(3, 1.0)
-
-
-def test_gamma_half_integer_matches_gamma():
-    for two_x in range(1, 31):
-        x = two_x / 2.0
-        assert gamma_half_integer(x) == pytest.approx(math.gamma(x), rel=1e-13)
-
-
-def test_gamma_half_integer_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gamma_half_integer(0.3)
-    with pytest.raises(ValueError):
-        gamma_half_integer(0.0)
-    with pytest.raises(ValueError):
-        gamma_half_integer(-1.5)
-
-
-def test_sphere_volume_low_dimensions():
-    assert sphere_volume(0) == pytest.approx(2.0, rel=1e-15)
-    assert sphere_volume(1) == pytest.approx(2.0 * math.pi, rel=1e-15)
-    assert sphere_volume(2) == pytest.approx(4.0 * math.pi, rel=1e-15)
-
-
-def test_sphere_volume_alternate_gamma_form():
-    # (k+1) pi^((k+1)/2) / Gamma((k+3)/2) is the same surface measure
-    # written through the ball volume recursion
-    for k in range(0, 13):
-        alt = (k + 1) * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 3) / 2.0)
-        assert sphere_volume(k) == pytest.approx(alt, rel=1e-12)
 
 
 def test_dilogarithm_endpoints():

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 from gen_series_reference import kernel as series_kernel_mp
+from test_constants import small_length_constant_mp
 
 from orthovol import (
     SpectrumFormatError,
@@ -143,6 +144,24 @@ def test_cli_kn_single(capsys):
     assert main(["kn", "-n", "5"]) == 0
     out = capsys.readouterr().out.strip()
     assert float(out) == small_length_constant(5)
+
+
+def test_cli_kn_past_the_gamma_overflow(capsys):
+    # K_180 ~ 1.8e-147: a float product of gamma values printed nan
+    assert main(["kn", "-n", "180"]) == 0
+    out = float(capsys.readouterr().out)
+    with mpmath.workdps(40):
+        want = small_length_constant_mp(180)
+        assert abs(out - want) <= 1e-13 * want
+
+
+def test_cli_bound_past_the_gamma_overflow(capsys):
+    # K_131 used to read 0, and the bracket's seed log(K_n) exited 2 with
+    # "math domain error"
+    assert main(["bound", "-n", "131", "-A", "10"]) == 0
+    fields = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert float(fields["bound"]) > 0.0
+    assert float(fields["power_floor"]) > 0.0
 
 
 def test_cli_kn_default_table(capsys):

@@ -20,7 +20,6 @@ from .quadrature import KernelValue, NonConvergenceError
 from .special import rogers_l
 from .spectrum import SpectrumFormatError, parse_spectrum, spectrum_volume
 from .volume_kernel import (
-    large_length_coefficient,
     small_length_constant,
     surface_kernel,
     volume_kernel,
@@ -37,7 +36,6 @@ __all__ = [
     "collar_volume_factor",
     "inner_kernel",
     "inner_kernel_asymptotics",
-    "large_length_coefficient",
     "parse_spectrum",
     "power_law_floor",
     "rogers_l",

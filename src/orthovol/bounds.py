@@ -5,23 +5,21 @@ area * collar_volume_factor(x).  The volume kernel evaluated at
 twice the half-width caps how much volume a single orthogeodesic can
 certify, and the crossing point of the two curves yields a volume
 bound depending only on dimension and boundary area, with a power-law
-floor A^((n-2)/(n-1)) up to a computable constant.
+floor A^((n-2)/(n-1)) up to a computable constant.  The crossing is the
+one root of a decreasing function of log x, found by bracketed false
+position.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import NamedTuple
 
-from .quadrature import NonConvergenceError
+from .quadrature import KernelValue, NonConvergenceError
 from .volume_kernel import _small_length_constant, volume_kernel
 
-__all__ = [
-    "collar_volume_factor",
-    "power_law_floor",
-    "volume_bound",
-    "BoundResult",
-]
+__all__ = ["collar_volume_factor", "power_law_floor", "volume_bound", "BoundResult"]
 
 _LOG2 = math.log(2.0)
 _LOG8 = math.log(8.0)
@@ -35,62 +33,38 @@ _T_RTOL = 8.9e-16
 _MAXITER = 100
 
 
-def _brentq(f, xa, xb, xtol, rtol):
-    """Brent's zero finder on a bracket [xa, xb]: (root, converged).
+def _false_position(f, a, b, xtol, rtol):
+    """Root of f on a bracket a < b with f(a) > 0 >= f(b): (root, converged).
 
-    Port of scipy's brentq.c (BSD licence; Brent, Algorithms for
-    Minimization without Derivatives, 1973): it takes the same steps,
-    so it calls f at the same points.  A zero denominator in the
-    interpolation, which in C yields inf or nan and fails the step test,
-    falls back to a bisection step; infinite values of f go through the
-    same IEEE arithmetic as in C.
+    False position with the Anderson-Bjorck rule (BIT 13, 1973): each
+    step takes the secant point of the two ends, at least
+    delta = (xtol + rtol |t|) / 2 inside the bracket, so the bracket
+    shrinks every step.  When a step moves the same end as the step
+    before, or is the first, the end it leaves stale has its weight g
+    scaled by m = 1 - f_new / f_old, or by 1/2 if m <= 0, so that end
+    pulls the next secant point towards it.  Stops once the bracket is
+    narrower than 2 delta and returns the end with the smaller |f|.
     """
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre, True
-    if fcur == 0.0:
-        return xcur, True
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
+    fa, fb = f(a), f(b)
+    ga, gb, side = fa, fb, 0
     for _ in range(_MAXITER):
-        if (
-            fpre != 0.0
-            and fcur != 0.0
-            and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
-        ):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, True
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (
-                        dblk * dpre * (fblk - fpre)
-                    )
-            except ZeroDivisionError:
-                stry = math.nan
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
+        t = b - gb * (b - a) / (gb - ga)
+        delta = (xtol + rtol * abs(t)) / 2
+        if b - a < 2 * delta:
+            return (a if abs(fa) < abs(fb) else b), True
+        t = min(max(t, a + delta), b - delta)
+        ft = f(t)
+        if ft > 0.0:
+            if side <= 0:
+                m = 1.0 - ft / fa
+                gb *= m if m > 0.0 else 0.5
+            a, fa, ga, side = t, ft, ft, -1
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    return xcur, False
+            if side >= 0:
+                m = 1.0 - ft / fb
+                ga *= m if m > 0.0 else 0.5
+            b, fb, gb, side = t, ft, ft, 1
+    return (a if abs(fa) < abs(fb) else b), False
 
 
 def collar_volume_factor(n: int, r: float) -> float:
@@ -116,14 +90,20 @@ def power_law_floor(n: int, area: float) -> float:
     """Power-law floor (K_n * area / 2)^((n-2)/(n-1)) on the volume.
 
     K_n is the small-length constant of the volume kernel.  The power is
-    taken in logs, so the floor stays finite where K_n underflows.
+    taken in logs, so the floor stays finite where K_n underflows; it
+    reads 0 only where the floor itself does.
     """
+    return math.exp(_log_power_law_floor(n, area))
+
+
+def _log_power_law_floor(n: int, area: float) -> float:
+    """log of power_law_floor(n, area), finite for n >= 3 and finite area > 0."""
     if n < 3:
         raise ValueError("dimension must be >= 3")
     if not area > 0.0:
         raise ValueError("area must be positive")
     log_k = _small_length_constant(n)[1]
-    return math.exp((n - 2.0) / (n - 1.0) * (log_k + math.log(area) - _LOG2))
+    return (n - 2.0) / (n - 1.0) * (log_k + math.log(area) - _LOG2)
 
 
 class BoundResult(NamedTuple):
@@ -145,39 +125,35 @@ def volume_bound(n: int, area: float) -> BoundResult:
     """Volume lower bound for an n-manifold with boundary area given.
 
     Solves kernel(2x) = area * collar_volume_factor(x) in log-log
-    coordinates: Brent's method finds the root of
+    coordinates, for the root of
     h(t) = log kernel(2 e^t) - log(area * collar_volume_factor(e^t)),
-    t = log x.  The left side falls from +inf at 0 and the right side
-    grows from 0, so h is strictly decreasing and the crossing is
-    unique.  Near 0 the kernel is K_n (2x)^(2-n) and the collar factor
-    x, so h is almost linear with slope -(n-1), and the raw gap's span
-    of hundreds of orders of magnitude, where secant steps on the
-    difference overshoot, is gone.  The bracket is seeded at that
-    small-length crossing, x0 = (K_n 2^(2-n) / area)^(1/(n-1)) clamped
-    into [1e-6, 1], as [x0/2, 2 x0], and widens by factors of 8 down
-    and 2 up until it straddles.  Brent's method keeps a bracket, so no
-    step leaves it; about 8 kernel calls pin t to 1e-15.  A kernel
-    value that underflows to 0, as e^(-(n-1) 2x) does at large n and x,
-    reads as h = -inf.  Kernel values are kept, so the returned bound is
-    the one computed at the returned crossing length.
+    t = log x, with log kernel read from the kernel's log_value, finite
+    where the value under- or overflows.  The left side falls from +inf
+    at 0 and the right side grows from 0, so h is strictly decreasing
+    and the crossing is unique.  Near 0 the kernel is K_n (2x)^(2-n) and
+    the collar factor x, so h is almost linear with slope -(n-1), and
+    the raw gap's span of hundreds of orders of magnitude, where secant
+    steps on the difference overshoot, is gone.  The bracket is seeded
+    at that small-length crossing, x0 = (K_n 2^(2-n) / area)^(1/(n-1))
+    clamped into [1e-6, 1], as [x0/2, 2 x0], and widens by factors of 8
+    down and 2 up until it straddles.  False position with the
+    Anderson-Bjorck rule keeps the bracket, so no step leaves it; about
+    8 kernel calls pin t to 1e-15.  Kernel values are kept, so the
+    returned bound is the one computed at the returned crossing length.
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
     if not area > 0.0:
         raise ValueError("area must be positive")
     log_area = math.log(area)
-    kernel_at: dict[float, float] = {}
 
-    def kernel(t: float) -> float:
-        if t not in kernel_at:
-            kernel_at[t] = volume_kernel(n, 2.0 * math.exp(t)).value
-        return kernel_at[t]
+    @cache
+    def kernel(t: float) -> KernelValue:
+        return volume_kernel(n, 2.0 * math.exp(t))
 
     def h(t: float) -> float:
-        f = kernel(t)
-        if f <= 0.0:
-            return -math.inf
-        return math.log(f) - log_area - math.log(collar_volume_factor(n, math.exp(t)))
+        log_f = kernel(t).log_value
+        return log_f - log_area - math.log(collar_volume_factor(n, math.exp(t)))
 
     t0 = (_small_length_constant(n)[1] + (2.0 - n) * _LOG2 - log_area) / (n - 1.0)
     t0 = min(max(t0, _LOG_SEED_LO), 0.0)
@@ -185,22 +161,16 @@ def volume_bound(n: int, area: float) -> BoundResult:
     while h(lo) <= 0.0:
         lo -= _LOG8
         if lo < _LOG_BRACKET_LO:
-            raise NonConvergenceError(
-                "could not bracket the collar crossing from below",
-                math.nan,
-                math.nan,
-            )
+            msg = "could not bracket the collar crossing from below"
+            raise NonConvergenceError(msg, math.nan, math.nan)
     while h(hi) > 0.0:
         hi += _LOG2
         if hi > _LOG_BRACKET_HI:
-            raise NonConvergenceError(
-                "could not bracket the collar crossing below width 50",
-                math.nan,
-                math.nan,
-            )
-    t_star, converged = _brentq(h, lo, hi, _T_TOL, _T_RTOL)
+            msg = "could not bracket the collar crossing below width 50"
+            raise NonConvergenceError(msg, math.nan, math.nan)
+    t_star, converged = _false_position(h, lo, hi, _T_TOL, _T_RTOL)
     if not converged:
         raise NonConvergenceError(
             "collar crossing did not converge", math.exp(t_star), math.nan
         )
-    return BoundResult(math.exp(t_star), kernel(t_star), power_law_floor(n, area))
+    return BoundResult(math.exp(t_star), kernel(t_star).value, power_law_floor(n, area))

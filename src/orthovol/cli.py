@@ -16,11 +16,11 @@ import csv
 import math
 import sys
 
-from .bounds import collar_volume_factor, volume_bound
+from .bounds import _log_power_law_floor, collar_volume_factor, volume_bound
 from .inner_kernel import inner_kernel
-from .quadrature import KernelValue, NonConvergenceError
+from .quadrature import NonConvergenceError
 from .spectrum import parse_spectrum, spectrum_volume
-from .volume_kernel import small_length_constant, volume_kernel
+from .volume_kernel import _small_length_constant, small_length_constant, volume_kernel
 
 __all__ = ["build_parser", "main", "app"]
 
@@ -29,16 +29,16 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-def _fmt_kernel(kv: KernelValue, digits: int) -> str:
-    """The kernel value; off the normal range, from its log.
+def _fmt_log(value: float, log_value: float, digits: int) -> str:
+    """A positive quantity given with its log; off the normal range, from the log.
 
-    An underflowed or overflowed kernel then prints as its size, not as
-    0, inf or a subnormal with few digits.
+    A kernel value, constant or floor that under- or overflows then
+    prints as its size, not as 0, inf or a subnormal with few digits.
     """
-    if sys.float_info.min <= kv.value < math.inf or not math.isfinite(kv.log_value):
-        return _fmt(kv.value, digits)
-    exponent = math.floor(kv.log_value / math.log(10.0))
-    mantissa = _fmt(math.exp(kv.log_value - exponent * math.log(10.0)), digits)
+    if sys.float_info.min <= value < math.inf or not math.isfinite(log_value):
+        return _fmt(value, digits)
+    exponent = math.floor(log_value / math.log(10.0))
+    mantissa = _fmt(math.exp(log_value - exponent * math.log(10.0)), digits)
     if float(mantissa) >= 10.0:
         exponent += 1
         mantissa = _fmt(float(mantissa) / 10.0, digits)
@@ -47,7 +47,7 @@ def _fmt_kernel(kv: KernelValue, digits: int) -> str:
 
 def cmd_fn(args: argparse.Namespace) -> int:
     kv = volume_kernel(args.dim, args.length)
-    print(_fmt_kernel(kv, args.digits), _fmt(kv.err_estimate, args.digits))
+    print(_fmt_log(kv.value, kv.log_value, args.digits), _fmt(kv.err_estimate, args.digits))
     return 0
 
 
@@ -58,10 +58,10 @@ def cmd_mn(args: argparse.Namespace) -> int:
 
 def cmd_kn(args: argparse.Namespace) -> int:
     if args.dim is not None:
-        print(_fmt(small_length_constant(args.dim), args.digits))
+        print(_fmt_log(*_small_length_constant(args.dim), args.digits))
     else:
         for n in range(3, 13):
-            print(n, _fmt(small_length_constant(n), args.digits))
+            print(n, _fmt_log(*_small_length_constant(n), args.digits))
     return 0
 
 
@@ -69,7 +69,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     res = volume_bound(args.dim, args.area)
     print("crossing_length", _fmt(res.crossing_length, args.digits))
     print("bound", _fmt(res.bound, args.digits))
-    print("power_floor", _fmt(res.power_floor, args.digits))
+    log_floor = _log_power_law_floor(args.dim, args.area)
+    print("power_floor", _fmt_log(res.power_floor, log_floor, args.digits))
     return 0
 
 
@@ -127,7 +128,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         kv = volume_kernel(args.dim, l)
         row = [
             _fmt(l, args.digits),
-            _fmt_kernel(kv, args.digits),
+            _fmt_log(kv.value, kv.log_value, args.digits),
             _fmt(kv.err_estimate, args.digits),
         ]
         if args.floor:

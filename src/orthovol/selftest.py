@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from .bounds import volume_bound
 from .inner_kernel import inner_kernel, inner_kernel_asymptotics
 from .volume_kernel import (
     _odd_coefficients,
@@ -77,6 +78,17 @@ def check_small_length_law() -> float:
     )
 
 
+def check_bound_crossing() -> float:
+    # the solved crossing for n = 3 at area 4 pi (a genus-2 boundary) in
+    # the elementary equation pi (1 + 2x) / (e^(4x) - 1) = A (x/2 + sinh(2x)/4)
+    area = 4.0 * math.pi
+    x = volume_bound(3, area).crossing_length
+    return _rel(
+        math.pi * (1.0 + 2.0 * x) / math.expm1(4.0 * x),
+        area * (0.5 * x + 0.25 * math.sinh(2.0 * x)),
+    )
+
+
 # (name, check, bound on the worst relative deviation it returns).  Each
 # limit check is bounded by twice the first term its limit drops at the
 # probe point:
@@ -93,13 +105,17 @@ def check_small_length_law() -> float:
 #   l <= 1e-4): 9.1e-7 at l = 1e-3, 1.65 times of which is the bound.
 # odd_small_length_constants compares two exact-integer builds of the
 # same constant, each within a few ulp for n <= 227 (3.1e-16 apart at
-# most).
+# most).  bound_crossing: the solve pins t = log x to within
+# 1e-15 + 8.9e-16 |t| = 2.3e-15 at x = 0.233, where h(t) has slope -2.26,
+# so the equation's log residual is at most 5.2e-15; the kernel's own
+# estimate there is 3.3e-15 and the rounding of both sides a few eps.
 CHECKS: list[tuple[str, Callable[[], float], float]] = [
     ("small_length_constants", check_small_length_constants, 1e-14),
     ("odd_small_length_constants", check_odd_small_length_constants, 1e-14),
     ("near_one_limit", check_near_one_limit, 7e-12),
     ("surface_limit", check_surface_limit, 3.3e-8),
     ("small_length_law", check_small_length_law, 1.5e-6),
+    ("bound_crossing", check_bound_crossing, 1e-14),
 ]
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "volume_kernel_alt",
     "surface_kernel",
     "small_length_constant",
-    "large_length_coefficient",
 ]
 
 # from l = ln 2 / 2 on, t = e^(-2l) <= 1/2 and volume_kernel sums the
@@ -158,6 +157,8 @@ def surface_kernel(l: float) -> float:
 @cache
 def _small_length_constant(n: int) -> tuple[float, float]:
     """(K_n, log K_n) from exact integers, with H_(n-2) = h / d."""
+    if n < 3:
+        raise ValueError("dimension must be >= 3")
     fact = math.factorial
     d = fact(n - 2)
     h = sum(d // j for j in range(1, n - 1))
@@ -184,8 +185,6 @@ def small_length_constant(n: int) -> float:
     up to n = 326 (K_326 ~ 3e-308), within 0.36 p + 1 ulp (p the power of
     pi); subnormal from n = 327 and 0 from n = 340.
     """
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
     return _small_length_constant(n)[0]
 
 
@@ -193,9 +192,11 @@ def small_length_constant(n: int) -> float:
 def _large_length_coefficient(n: int) -> tuple[float, float]:
     """(coef_n, log coef_n), the log finite for every n >= 3.
 
-    coef_n = R pi^p with R = (n-2) (2m-2)! / (4^(m-1) (m-1)! m!^2), p = m
-    for n = 2m + 1 and R = (n-2) (m-2)! 16^m m!^2 / (2m)!^2, p = m - 2 for
-    n = 2m.
+    coef_n is the coefficient of l e^(-(n-1) l) in the kernel's decay
+    law, (n-2) pi^((n-2)/2) Gamma(n/2 - 1) / Gamma((n+1)/2)^2, built from
+    exact integers as R pi^p: R = (n-2) (2m-2)! / (4^(m-1) (m-1)! m!^2),
+    p = m for n = 2m + 1 and R = (n-2) (m-2)! 16^m m!^2 / (2m)!^2,
+    p = m - 2 for n = 2m.
     """
     fact = math.factorial
     if n % 2:
@@ -205,16 +206,6 @@ def _large_length_coefficient(n: int) -> tuple[float, float]:
         m = n // 2
         num, den, p = (n - 2) * fact(m - 2) * 16**m * fact(m) ** 2, fact(2 * m) ** 2, m - 2
     return _pi_rational(num, den, p)
-
-
-def large_length_coefficient(n: int) -> float:
-    """Coefficient of l e^(-(n-1) l) in the kernel's decay law.
-
-    (n-2) pi^((n-2)/2) Gamma(n/2 - 1) / Gamma((n+1)/2)^2, from exact integers.
-    """
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
-    return _large_length_coefficient(n)[0]
 
 
 @cache

@@ -23,14 +23,17 @@ from oracles import (
 from orthovol import (
     collar_volume_factor,
     inner_kernel,
-    large_length_coefficient,
     small_length_constant,
     surface_kernel,
     volume_bound,
     volume_kernel,
 )
 from orthovol.inner_kernel import _far_field_coefficients
-from orthovol.volume_kernel import volume_kernel_alt, volume_kernel_radial
+from orthovol.volume_kernel import (
+    _large_length_coefficient,
+    volume_kernel_alt,
+    volume_kernel_radial,
+)
 
 SMALL_LENGTH_TABLE = [
     (3, math.pi / 2.0),
@@ -152,7 +155,7 @@ def test_c08_large_length_law():
     for n, c in LARGE_LENGTH_OFFSET_TABLE:
         kv = volume_kernel(n, 8.0)
         scaled = math.exp((n - 1) * 8.0) / 8.0 * kv.value
-        want = large_length_coefficient(n) * (1.0 + c / 8.0)
+        want = _large_length_coefficient(n)[0] * (1.0 + c / 8.0)
         assert scaled == pytest.approx(want, rel=1e-5)
 
 
@@ -160,7 +163,7 @@ def test_c08_large_length_trend():
     # dev(l) = |scaled/coef - 1| behaves as c_n/l: doubling l halves it
     # to five decimal places.
     for n in (3, 4, 5):
-        coef = large_length_coefficient(n)
+        coef = _large_length_coefficient(n)[0]
         devs = []
         for l in (8.0, 16.0):
             kv = volume_kernel(n, l)

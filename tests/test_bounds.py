@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
@@ -117,18 +118,13 @@ def test_volume_bound_crossing_residual(n, area):
     right = area * collar_volume_factor(n, res.crossing_length)
     assert left == pytest.approx(right, rel=1e-8, abs=0.0)
     assert res.bound == pytest.approx(left, rel=1e-12)
-    if n == 3:
-        # and to F_3(2x) = pi (1 + 2x) / (e^(4x) - 1) in closed form
-        x = res.crossing_length
-        exact = math.pi * (1.0 + 2.0 * x) / math.expm1(4.0 * x)
-        assert exact == pytest.approx(right, rel=1e-8, abs=0.0)
 
 
 @pytest.mark.parametrize("n,area", [(3, 4.0 * math.pi), (4, 10.0), (5, 100.0)])
 def test_volume_bound_kernel_calls(n, area, monkeypatch):
-    # Brent's method in log-log coordinates, seeded at the small-length
-    # crossing, needs about 8 kernel quadratures; the 60-step bisection
-    # it replaced needed 63.
+    # False position in log-log coordinates, seeded at the small-length
+    # crossing, needs about 8 kernel calls, each one new; a 60-step
+    # bisection on the raw gap needed 63.
     calls = []
 
     def counting_kernel(dim, l):
@@ -143,28 +139,50 @@ def test_volume_bound_kernel_calls(n, area, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "f,lo,hi",
+    "f,lo,hi,root,max_calls",
     [
-        (lambda t: -2.0 * t - 1.0 + 0.01 * math.sin(5.0 * t), -3.0, 2.0),
-        (lambda t: 1.0 - t ** 3, 0.0, 10.0),
-        (lambda t: math.exp(-t) - 0.3, -1.0, 40.0),
-        # -inf past the cut, as for a kernel value of 0
-        (lambda t: 4.0 - t if t < 5.0 else -math.inf, 0.0, 8.0),
+        # nearly linear, as volume_bound's h is: 7 calls
+        (lambda t: -2.0 * t - 1.0 + 0.01 * math.sin(5.0 * t), -3.0, 2.0,
+         -0.5029332913066225077711686, 8),
+        # curved across a wide bracket, where false position shrinks the
+        # far end in steps: 34 and 38 calls
+        (lambda t: 1.0 - t ** 3, 0.0, 10.0, 1.0, 36),
+        (lambda t: math.exp(-t) - 0.3, -1.0, 40.0, 1.203972804325936029630180, 40),
     ],
 )
-def test_brent_port_takes_scipys_steps(f, lo, hi):
-    from scipy.optimize import brentq
+def test_false_position_on_a_bracket(f, lo, hi, root, max_calls):
+    # roots from 40-digit mpmath solves of the same double-precision
+    # functions
+    from orthovol.bounds import _T_RTOL, _T_TOL, _false_position
 
-    from orthovol.bounds import _T_RTOL, _T_TOL, _brentq
+    calls = []
 
-    ours, theirs = [], []
-    root, converged = _brentq(lambda t: ours.append(t) or f(t), lo, hi, _T_TOL, _T_RTOL)
-    ref, info = brentq(
-        lambda t: theirs.append(t) or f(t), lo, hi, xtol=_T_TOL, rtol=_T_RTOL,
-        full_output=True, disp=False,
-    )
-    assert ours == theirs
-    assert (root, converged) == (ref, info.converged)
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    t, converged = _false_position(counted, lo, hi, _T_TOL, _T_RTOL)
+    assert converged
+    assert abs(t - root) <= _T_TOL + _T_RTOL * abs(root)
+    assert all(lo <= c <= hi for c in calls)
+    assert len(calls) <= max_calls
+
+
+@pytest.mark.parametrize("area", [1e-2, 1.0, 4.0 * math.pi, 1e4, 1e8, 1e12])
+def test_volume_bound_matches_the_n3_oracle(area):
+    # F_3(2x) = pi (1 + 2x) / (e^(4x) - 1) and C_3(x) = x/2 + sinh(2x)/4 are
+    # elementary, so the crossing is a 40-digit root with no quadrature
+    res = volume_bound(3, area)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(area)
+        x = mpmath.findroot(
+            lambda x: mpmath.pi * (1 + 2 * x) / mpmath.expm1(4 * x)
+            - a * (x / 2 + mpmath.sinh(2 * x) / 4),
+            res.crossing_length,
+        )
+        bound = mpmath.pi * (1 + 2 * x) / mpmath.expm1(4 * x)
+        assert abs(res.crossing_length - x) <= 1e-14 * x
+        assert abs(res.bound - bound) <= 1e-14 * bound
 
 
 # (n, area, crossing_length, bound) from 25-digit mpmath solves of the

@@ -13,7 +13,7 @@ import sys
 import mpmath as mp
 import pytest
 
-from orthovol import large_length_coefficient, small_length_constant
+from orthovol import small_length_constant
 from orthovol.volume_kernel import (
     _large_length_coefficient,
     _shape_factor,
@@ -80,7 +80,6 @@ def test_large_length_coefficient_matches_gamma_form(n):
     with mp.workdps(40):
         ref = _large_length_mp(n)
         value, log_value = _large_length_coefficient(n)
-        assert large_length_coefficient(n) == value
         _check_value(value, ref)
         _check_log(log_value, ref)
 

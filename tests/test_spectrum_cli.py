@@ -155,6 +155,32 @@ def test_cli_kn_past_the_gamma_overflow(capsys):
         assert abs(out - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("n", [330, 340])
+def test_cli_kn_below_the_normal_range(n, capsys):
+    # K_330 is subnormal and K_340 rounds to 0 as a double; both used to
+    # print as such (7.3564284590216069e-313 and 0) and now print from
+    # log K_n, whose rounding of about |log K_n| ulp bounds the error
+    assert main(["kn", "-n", str(n)]) == 0
+    out = capsys.readouterr().out.strip()
+    with mpmath.workdps(40):
+        want = small_length_constant_mp(n)
+        assert abs(mpmath.mpf(out) - want) <= 1e-12 * want
+
+
+def test_cli_bound_floor_below_the_normal_range(capsys):
+    # (K_401 / 2)^(399/400) ~ 3.4e-396 underflows: power_floor printed 0
+    assert main(["bound", "-n", "401", "-A", "1"]) == 0
+    fields = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    with mpmath.workdps(40):
+        want = (small_length_constant_mp(401) / 2) ** (mpmath.mpf(399) / 400)
+        assert abs(mpmath.mpf(fields["power_floor"]) - want) <= 1e-12 * want
+
+
+def test_cli_kn_rejects_dimension_below_three(capsys):
+    assert main(["kn", "-n", "2"]) == 2
+    assert "dimension must be >= 3" in capsys.readouterr().err
+
+
 def test_cli_bound_past_the_gamma_overflow(capsys):
     # K_131 used to read 0, and the bracket's seed log(K_n) exited 2 with
     # "math domain error"

@@ -17,13 +17,13 @@ from oracles import (
 )
 from orthovol import (
     NonConvergenceError,
-    large_length_coefficient,
     surface_kernel,
     volume_kernel,
 )
 from orthovol.quadrature import _ABS_TOL, _REL_TOL
 from orthovol.volume_kernel import (
     _SERIES_CUT,
+    _large_length_coefficient,
     volume_kernel_alt,
     volume_kernel_radial,
 )
@@ -173,8 +173,8 @@ def test_surface_kernel_strictly_decreasing():
 
 
 def test_large_length_coefficients():
-    assert large_length_coefficient(3) == pytest.approx(math.pi, rel=1e-14)
-    assert large_length_coefficient(4) == pytest.approx(32.0 / 9.0, rel=1e-14)
+    assert _large_length_coefficient(3)[0] == pytest.approx(math.pi, rel=1e-14)
+    assert _large_length_coefficient(4)[0] == pytest.approx(32.0 / 9.0, rel=1e-14)
 
 
 def test_small_length_band_dimension_three():

@@ -6,7 +6,7 @@ tables, and the selftest checks.  Numbers print with 17 significant
 digits by default so they re-parse to the same double.
 
 Exit codes: 0 success, 1 selftest failures, 2 bad arguments or input
-format, 3 quadrature non-convergence, 4 file I/O errors.
+format, 3 a bound whose crossing is not found, 4 file I/O errors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .bounds import _log_power_law_floor, collar_volume_factor, volume_bound
 from .inner_kernel import inner_kernel
 from .quadrature import NonConvergenceError
 from .spectrum import parse_spectrum, spectrum_volume
-from .volume_kernel import _small_length_constant, small_length_constant, volume_kernel
+from .volume_kernel import _small_length_constant, volume_kernel
 
 __all__ = ["build_parser", "main", "app"]
 
@@ -132,8 +132,10 @@ def cmd_table(args: argparse.Namespace) -> int:
             _fmt(kv.err_estimate, args.digits),
         ]
         if args.floor:
-            approx = small_length_constant(args.dim) / l ** (args.dim - 2)
-            row.append(_fmt(approx, args.digits))
+            # K_n l^(2-n) from its log, as l^(n-2) over- or underflows
+            log_floor = _small_length_constant(args.dim)[1] - (args.dim - 2) * math.log(l)
+            floor = math.exp(log_floor) if log_floor < 709.0 else math.inf
+            row.append(_fmt_log(floor, log_floor, args.digits))
         if args.collar is not None:
             row.append(
                 _fmt(args.collar * collar_volume_factor(args.dim, 0.5 * l), args.digits)

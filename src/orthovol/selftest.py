@@ -16,11 +16,10 @@ from typing import Callable
 from .bounds import volume_bound
 from .inner_kernel import inner_kernel, inner_kernel_asymptotics
 from .volume_kernel import (
-    _odd_coefficients,
+    _small_length_constant,
     small_length_constant,
     surface_kernel,
     volume_kernel,
-    volume_kernel_radial,
 )
 
 __all__ = ["CHECKS", "run_selftest"]
@@ -38,16 +37,14 @@ def check_small_length_constants() -> float:
     )
 
 
-def check_odd_small_length_constants() -> float:
-    # the odd closed form's l -> 0 limit, pi^m p_0 e_0 / 2^(n-2), against
-    # K_n's gamma-function form, over every odd n whose c is kept
-    worst = 0.0
-    for n in range(3, 229, 2):
-        _, c, _, _, coefs = _odd_coefficients(n)
-        # coefs run from the top degree down: the last is (r_0, r_0 e_0)
-        limit = c * coefs[-1][1] / 2.0 ** (n - 2)
-        worst = max(worst, _rel(limit, small_length_constant(n)))
-    return worst
+def check_small_length_logs() -> float:
+    # log(l^(n-2) F_n(l)) at l = 1e-12 against log K_n for n = 3..228, from
+    # log_value: past n ~ 35, F_n(1e-12) overflows
+    l = 1e-12
+    return max(
+        abs(volume_kernel(n, l).log_value + (n - 2) * math.log(l) - _small_length_constant(n)[1])
+        for n in range(3, 229)
+    )
 
 
 def check_near_one_limit() -> float:
@@ -68,13 +65,12 @@ def check_surface_limit() -> float:
 
 
 def check_small_length_law() -> float:
-    # l^(n-2) F_n(l) at l = 1e-3 against the small-length constant: odd
-    # n from the closed form, n = 4 from the radial quadrature
+    # l^(n-2) F_n(l) at l = 1e-3 against the small-length constant, from
+    # the s-series for n = 3, 4, 5
     l = 1e-3
-    kernels = ((3, volume_kernel), (4, volume_kernel_radial), (5, volume_kernel))
     return max(
-        _rel(kernel(n, l).value * l ** (n - 2), small_length_constant(n))
-        for n, kernel in kernels
+        _rel(volume_kernel(n, l).value * l ** (n - 2), small_length_constant(n))
+        for n in (3, 4, 5)
     )
 
 
@@ -103,15 +99,17 @@ def check_bound_crossing() -> float:
 #   (identified to 1e-9 from 30-digit radial integrals at l <= 1e-4) and
 #   c_5 = 10/11 (to 1e-8 from 60-digit hypergeometric values at
 #   l <= 1e-4): 9.1e-7 at l = 1e-3, 1.65 times of which is the bound.
-# odd_small_length_constants compares two exact-integer builds of the
-# same constant, each within a few ulp for n <= 227 (3.1e-16 apart at
-# most).  bound_crossing: the solve pins t = log x to within
+# - small_length_logs: c_n l^2 < 1e-18 at l = 1e-12, so rounding bounds
+#   it: log_value within eps (6n + 3 + 5 S') of log F, S' <= 6,400 (7.4e-12
+#   at n = 228); (n-2) log l within 1.5 ulp of 6,245 (1.4e-12); log K_n
+#   within 4 eps |log K_n| (4.1e-13).
+# bound_crossing: the solve pins t = log x to within
 # 1e-15 + 8.9e-16 |t| = 2.3e-15 at x = 0.233, where h(t) has slope -2.26,
 # so the equation's log residual is at most 5.2e-15; the kernel's own
 # estimate there is 3.3e-15 and the rounding of both sides a few eps.
 CHECKS: list[tuple[str, Callable[[], float], float]] = [
     ("small_length_constants", check_small_length_constants, 1e-14),
-    ("odd_small_length_constants", check_odd_small_length_constants, 1e-14),
+    ("small_length_logs", check_small_length_logs, 1e-11),
     ("near_one_limit", check_near_one_limit, 7e-12),
     ("surface_limit", check_surface_limit, 3.3e-8),
     ("small_length_law", check_small_length_law, 1.5e-6),

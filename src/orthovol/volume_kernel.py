@@ -1,15 +1,12 @@
 """Volume kernel: per-orthogeodesic contribution to the manifold volume.
 
-For a hyperbolic n-manifold with totally geodesic boundary, each
-orthogeodesic of length l contributes a kernel value, and the volume
-is the sum of those values over the orthospectrum.  The kernel is a closed
-Rogers dilogarithm expression for n = 2.  For odd n >= 3 it is a closed
-form in s = 1 - e^(-2l), a polynomial of degree (n-3)/2 over s^(n-2),
-at every length.  For even n >= 4 it is a series in t = e^(-2l) from
-l = ln 2 / 2 (t <= 1/2) on, and below that a one-dimensional integral of
-the inner kernel, evaluated in the radial-angle parametrization.  A
-second, independent parametrization is kept as the tests' reference for
-the first.
+Each orthogeodesic of length l of a hyperbolic n-manifold with totally
+geodesic boundary contributes a kernel value; the volume is their sum
+over the orthospectrum.  For n = 2 the kernel is a Rogers dilogarithm
+expression, for n >= 3 a series in s = 1 - e^(-2l), closed for odd n,
+which even n sums below l = ln 2 / 2 and a series in t = e^(-2l) above.
+The inner kernel's integral, kept in two parametrizations as the tests'
+reference, never serves volume_kernel.
 """
 
 from __future__ import annotations
@@ -22,21 +19,13 @@ from .inner_kernel import inner_kernel
 from .quadrature import KernelValue, adaptive_quad
 from .special import rogers_l
 
-__all__ = [
-    "volume_kernel",
-    "volume_kernel_radial",
-    "volume_kernel_alt",
-    "surface_kernel",
-    "small_length_constant",
-]
+__all__ = ["volume_kernel", "surface_kernel", "small_length_constant"]
 
-# from l = ln 2 / 2 on, t = e^(-2l) <= 1/2 and volume_kernel sums the
-# series for even n
+# even n sums the t-series from l = ln 2 / 2 (t = e^(-2l) <= 1/2) on
 _SERIES_CUT = 0.5 * math.log(2.0)
 _EPS = sys.float_info.epsilon
-# the series stops once its tail bound is below this share of the sum;
+# a series stops once its tail bound is below this share of the sum, and
 # its coefficients run until the bound at the cut is below the smaller
-# share
 _SERIES_TAIL = 2.0 ** -54
 _BUILD_TAIL = 2.0 ** -60
 _LN2 = math.log(2.0)
@@ -91,17 +80,11 @@ def _check_kernel_args(n: int, l: float, least_n: int = 3) -> None:
 def volume_kernel_radial(n: int, l: float) -> KernelValue:
     """Volume kernel for n >= 3 in the radial-angle parametrization.
 
-    The cross-section radius r = sin(theta) turns the kernel into
-    shape * int_0^(pi/2) tan(theta)^(n-3) inner_kernel(x(theta)) dtheta
-    with x = sqrt(e^(2l) - 1 + cos^2 theta) / cos(theta).  Near
-    theta = pi/2 the argument blows up and the integrand dies like
-    cos^2(theta) log x.  The inner kernel is finite at every finite
-    argument, so the integrand is evaluated as it stands everywhere.
-    e^(2l) - 1 comes from expm1: F ~ l^(2-n) carries n - 2 times its
-    relative error, which (e^l - 1)(e^l + 1) would make about eps / l.
-    Raises OverflowError where e^(2l) leaves the double range
-    (l > 354.89), and NonConvergenceError where the integral misses
-    its target.
+    The tests' reference for the series: shape * int_0^(pi/2)
+    tan(theta)^(n-3) inner_kernel(x) dtheta, x = sqrt(e^(2l) - 1 +
+    cos^2 theta) / cos(theta), with e^(2l) - 1 from expm1.  Raises
+    OverflowError past l = 354.89 and NonConvergenceError where the
+    integral misses its target.
     """
     _check_kernel_args(n, l)
     a2m1 = math.expm1(2.0 * l)
@@ -117,16 +100,10 @@ def volume_kernel_radial(n: int, l: float) -> KernelValue:
 
 
 def volume_kernel_alt(n: int, l: float) -> KernelValue:
-    """Volume kernel for n >= 3, parametrized by the kernel argument.
+    """Volume kernel for n >= 3 by the argument x = e^l cosh(w), the radial form's reference.
 
-    Substituting x = e^l cosh(w) moves the integration onto the
-    argument's natural range (e^l, inf):
-    shape * a^(n-2) (a^2-1)^(2-n/2) *
-    int_0^inf sinh(w)^(n-3) cosh(w) inner_kernel(a cosh w) / (x^2 - 1) dw.
-    The integral runs over w in [0, 30]: contributions beyond w = 30
-    are below 1e-24 of the total.  Independent of the radial form, it
-    is the tests' reference for it; volume_kernel never calls it.
-    """
+    shape * a^(n-2) (a^2-1)^(2-n/2) * int_0^30 sinh(w)^(n-3) cosh(w)
+    inner_kernel(a cosh w) / (x^2 - 1) dw; past w = 30 is below 1e-24."""
     _check_kernel_args(n, l)
     a = math.exp(l)
     a2m1 = math.expm1(2.0 * l)
@@ -155,88 +132,75 @@ def surface_kernel(l: float) -> float:
 
 
 @cache
-def _small_length_constant(n: int) -> tuple[float, float]:
-    """(K_n, log K_n) from exact integers, with H_(n-2) = h / d."""
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
+def _coef_rational(n: int) -> tuple[int, int, int]:
+    """(num, den, p) with coef_n = num / den pi^p, for every n >= 3.
+
+    coef_n, l e^(-(n-1) l)'s coefficient in the decay law, is (n-2)
+    pi^((n-2)/2) Gamma(n/2 - 1) / Gamma((n+1)/2)^2: (n-2) (2m-2)! pi^m /
+    (4^(m-1) (m-1)! m!^2) for n = 2m + 1, (n-2) (m-2)! 16^m m!^2 pi^(m-2)
+    / (2m)!^2 for n = 2m.  n - 2 divides num and n - 1 divides 2 den."""
     fact = math.factorial
-    d = fact(n - 2)
-    h = sum(d // j for j in range(1, n - 1))
     if n % 2:
         m = (n - 1) // 2
-        num = 2 * h * fact(2 * m + 2) * fact(2 * m - 2)
-        den = d * 4 ** (2 * m) * fact(m + 1) * fact(m - 1) * n * fact(m) * fact(2 * m - 1)
-        p = m
-    else:
-        m = n // 2
-        num = 2 * h * fact(m) ** 2 * fact(m - 2) * 4**m
-        den = d * n * fact(2 * m) * fact(2 * m - 2)
-        p = m - 2
-    return _pi_rational(num, den, p)
+        return (n - 2) * fact(2 * m - 2), 4 ** (m - 1) * fact(m - 1) * fact(m) ** 2, m
+    m = n // 2
+    return (n - 2) * fact(m - 2) * 16**m * fact(m) ** 2, fact(2 * m) ** 2, m - 2
+
+
+def _c_rational(n: int) -> tuple[int, int, int]:
+    """(num, den, p) of the s-series constant c = coef_n (n-1) / (2(n-2))."""
+    num, den, p = _coef_rational(n)
+    return num // (n - 2), 2 * den // (n - 1), p
+
+
+@cache
+def _small_length_constant(n: int) -> tuple[float, float]:
+    """(K_n, log K_n) from exact integers: K_n = c H_(n-2) / 2^(n-2), H_(n-2) = h / d."""
+    if n < 3:
+        raise ValueError("dimension must be >= 3")
+    num, den, p = _c_rational(n)
+    d = math.factorial(n - 2)
+    h = sum(d // j for j in range(1, n - 1))
+    return _pi_rational(num * h, den * d << (n - 2), p)
 
 
 def small_length_constant(n: int) -> float:
     """Coefficient K_n of l^(2-n) in the kernel's small-length law.
 
     2 pi^((n-3)/2) H_(n-2) Gamma(n/2 + 1) Gamma(n/2 - 1) / (n Gamma((n+1)/2)
-    Gamma(n-1)), built from exact integers: 2 H m!^2 (m-2)! 4^m pi^(m-2) /
-    (n (2m)! (2m-2)!) for n = 2m and 2 H (2m+2)! (2m-2)! pi^m /
-    (4^(2m) (m+1)! (m-1)! n m! (2m-1)!) for n = 2m + 1.  A normal double
-    up to n = 326 (K_326 ~ 3e-308), within 0.36 p + 1 ulp (p the power of
-    pi); subnormal from n = 327 and 0 from n = 340.
-    """
+    Gamma(n-1)), the s-series' limit c H_(n-2) / 2^(n-2), from exact
+    integers: normal up to n = 326 (K_326 ~ 3e-308), 0 from n = 340."""
     return _small_length_constant(n)[0]
 
 
 @cache
 def _large_length_coefficient(n: int) -> tuple[float, float]:
-    """(coef_n, log coef_n), the log finite for every n >= 3.
-
-    coef_n is the coefficient of l e^(-(n-1) l) in the kernel's decay
-    law, (n-2) pi^((n-2)/2) Gamma(n/2 - 1) / Gamma((n+1)/2)^2, built from
-    exact integers as R pi^p: R = (n-2) (2m-2)! / (4^(m-1) (m-1)! m!^2),
-    p = m for n = 2m + 1 and R = (n-2) (m-2)! 16^m m!^2 / (2m)!^2,
-    p = m - 2 for n = 2m.
-    """
-    fact = math.factorial
-    if n % 2:
-        m = (n - 1) // 2
-        num, den, p = (n - 2) * fact(2 * m - 2), 4 ** (m - 1) * fact(m - 1) * fact(m) ** 2, m
-    else:
-        m = n // 2
-        num, den, p = (n - 2) * fact(m - 2) * 16**m * fact(m) ** 2, fact(2 * m) ** 2, m - 2
-    return _pi_rational(num, den, p)
+    """(coef_n, log coef_n) from _coef_rational, the log finite for every n >= 3."""
+    return _pi_rational(*_coef_rational(n))
 
 
 @cache
 def _series_coefficients(n: int) -> tuple[float, list[float], list[float]]:
     """log coef_n and the coefficients g_K and e_K of the kernel's t-series.
 
-    With t = e^(-2l) and x = 2t, for even n >= 4 (odd n has the closed
-    form of _odd_coefficients),
+    With t = e^(-2l) and x = 2t, for even n >= 4,
 
         F_n(l) = coef_n e^(-(n-1)l) sum_K x^K g_K (l + e_K),
-
-    where g_K = a_K / (a_0 2^K), e_K = c_n + d_K, a_0 = coef_n and
-
+        g_K = a_K / (a_0 2^K),   e_K = c_n + d_K,   a_0 = coef_n,
         a_(K+1) = a_K (K+n-1)(2K+n-1) / ((K+1)(2K+n+1)),
         d_(K+1) = d_K + (n-3) / ((K+n-1)(2K+n+1)),   d_0 = 0,
-        c_n = H_((n-1)/2) = 2 (1 + 1/3 + ... + 1/(n-1)) - 2 log 2.
+        c_n = H_((n-1)/2) = 2 (1 + 1/3 + ... + 1/(n-1)) - 2 log 2,
 
-    (This is coef_n t^((n-1)/2) [(l + c_n) 2F1(n-1, (n-1)/2; (n+1)/2; t)
-    minus the derivative of 2F1(n-1+s, (n-1)/2; (n+1)/2+s; t) in s at
-    s = 0], expanded in t.)  Every term is positive.  g_K, the term at
-    t = 1/2 without its (l + e_K), stays finite where a_K alone would
-    overflow (n >= 300); g_K is the correctly rounded ratio of two exact
-    integers and e_K carries its rounding in a compensated sum, so both
-    are within a few units of the last place.  Terms are built until the
-    tail bound at l = ln 2 / 2 is below 2^-60 of the sum there (at most
-    193 terms for n <= 60).  Every term ratio falls as l grows, and on a
-    grid of 3000 lengths per n = 3..100 the sum meets its own stop test
-    (2^-54 of the sum) at least 6 terms before the end.
-
-    Past n ~ 500 the sum at the cut exceeds 2^500, where the squares in
-    the stop tests could overflow, and this raises OverflowError.
+    the kernel's form coef_n t^((n-1)/2) [(l + c_n) 2F1(n-1, (n-1)/2;
+    (n+1)/2; t) - d/ds 2F1(n-1+s, (n-1)/2; (n+1)/2+s; t) at s = 0] in t.
+    Every term is positive.  g_K, the term at t = 1/2 without (l + e_K),
+    is a correctly rounded ratio of exact integers (finite where a_K
+    overflows, n >= 300), e_K a compensated sum.  Terms are built until
+    the tail bound at the cut is below 2^-60 of the sum (at most 193 for
+    n <= 60); on 3000 lengths per n = 3..100 the sum meets its own stop
+    test at least 6 terms before the end.  Past n ~ 500 the sum at the
+    cut passes 2^500, where the stop tests' squares could overflow, and
+    this raises OverflowError.
     """
     e = math.fsum([2.0 / k for k in range(1, n, 2)] + [-2.0 * _LN2])
     e_err = 0.0
@@ -266,23 +230,18 @@ def _series_coefficients(n: int) -> tuple[float, list[float], list[float]]:
 def _series_kernel(n: int, l: float) -> KernelValue:
     """F_n(l) for even n >= 4 and l >= ln 2 / 2 from its t-series.
 
-    The ratio of consecutive terms falls toward t (checked in exact
-    rationals for n = 3..40, 60, 100; not proved), so the rest after a
-    term with ratio r < 1 to the one before is at most term r / (1 - r):
-    the sum stops when that is below 2^-54 of it, and should the terms
-    run out first, the bound at the last one joins the estimate.  The
-    value is exp(log coef_n - (n-1) l + log sum), so log_value stays
-    finite where F underflows.  The relative error estimate counts, in
-    units of eps and to first order:
-    - 2K for the K terms: x^K by repeated products, from x within an
-      ulp, and the running sum;
-    - n + |log coef_n| for log coef_n;
-    - 1.5 (n-1) l + |log coef_n| + |log sum| for rounding (n-1) l,
-      log sum and the two additions, each within half an ulp of its size;
-    - 8 for g_K, e_K, l + e_K, the term's two products and exp;
-    plus the tail bound, and an ulp of the value for subnormal results.
-    The bound is at least 2.4 times the error on the reference table of
-    n = 3..100, l = ln 2 / 2..1e4 (tests/data/series_reference.json).
+    The term ratio falls toward t (checked in exact rationals for
+    n = 3..40, 60, 100; not proved), so the rest after a term with ratio
+    r < 1 is at most term r / (1 - r): the sum stops when that is below
+    2^-54 of it, or the terms run out, and that bound joins the estimate.
+    The value is exp(log coef_n - (n-1) l + log sum), so log_value stays
+    finite where F underflows.  The relative estimate counts, in eps, to
+    first order: 2K for the K terms (x^K by repeated products, the running
+    sum); n + |log coef_n| for log coef_n; 1.5 (n-1) l + |log coef_n| +
+    |log sum| for (n-1) l, log sum and the two additions; 8 for g_K, e_K,
+    l + e_K, the two products and exp; plus the tail bound and, for
+    subnormal results, an ulp.  It is at least 2.4 times the error on
+    tests/data/series_reference.json.
     """
     log_coef, gs, es = _series_coefficients(n)
     x = 2.0 * math.exp(-2.0 * l)
@@ -313,128 +272,197 @@ def _series_kernel(n: int, l: float) -> KernelValue:
     return KernelValue(value, err, log_value)
 
 
-@cache
-def _odd_coefficients(n: int) -> tuple[float, float, float, float, list]:
-    """Constants and polynomial coefficients of the closed form for odd n.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
-    For n = 2m + 1, with s = 1 - e^(-2l) (Euler's transformation of the
-    kernel's terminating 2F1),
 
-        F_n(l) = c e^(-(n-1)l) s^(2-n) (l P(s) + Q(s)),
-        c = pi^m p_0,   p_0 = C(2m-2, m-1) / (4^(m-1) m!),
-        P(s) = sum_(k<m) r_k s^k,   Q(s) = sum_(k<m) r_k e_k s^k,
-        r_0 = 1,   r_(k+1) = r_k (m-1-k) / (2m-2-k),
-        e_k = 1/(k+1) + ... + 1/(n-2) = H_(n-2) - H_k.
+def _trigamma(j: int) -> float:
+    """psi'(j) for an integer j >= 1 within a few ulp, by its asymptotic series.
 
-    Every r_k and r_k e_k is positive and the correctly rounded ratio of
-    two exact integers, built in O(n) integer steps.  c and log c come
-    from p_0 in exact integers (_pi_rational); c is kept where
-    log c > -300 (n <= 227) and is 0 beyond.  Returns (log c, c, l_max,
-    x_max, [(r_k, r_k e_k)] from the top degree down).
-
-    l_max and x_max bound where _odd_kernel evaluates in linear scale,
-    as c (l P + Q) u x^(n-2) with u = e^(-l) and x = u / s >= u.  There
-    (n-1) l < l_max (n-1) = 700 + min(log c, 0) keeps u x^(n-2) >=
-    e^(-(n-1)l) above e^-700 / min(c, 1); x < x_max = e^(690/(n-2))
-    keeps x^(n-2) below e^690; 1 <= l P + Q <= (350 + H_(n-2)) m and
-    log c <= 1.2, and log c > -300 with l < 350 keeps c u above e^-650.
-    So c, u, x^(n-2), every partial product and F itself are normal
-    doubles there.  Where log c <= -300 (n >= 229) l_max is 0.
+    (1 + 1/(2x) + sum_(i<=8) B_2i x^(-2i)) / x, B_2i in _BERNOULLI, at
+    x = max(j, 16), next term below 1e-20 of it, plus 1/i^2 for
+    i = j..15; pi^2/6 minus a partial sum would lose log10 j digits.
     """
-    m = (n - 1) // 2
-    fact = math.factorial
-    c, log_c = _pi_rational(fact(2 * m - 2), fact(m - 1) ** 2 * 4 ** (m - 1) * fact(m), m)
+    x = max(j, 16)
+    series = 0.0
+    for b in reversed(_BERNOULLI):
+        series = (series + b) / (x * x)
+    return math.fsum([1.0 / (i * i) for i in range(j, x)] + [(1.0 + 0.5 / x + series) / x])
+
+
+@cache
+def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, float]:
+    """Constants and coefficients of the kernel's s-series, for every n >= 3.
+
+    With s = 1 - e^(-2l), u = e^(-l), L = log s and H_k the harmonic
+    numbers, Euler's transformation of the kernel's 2F1, DLMF 15.8.10 and
+    the parameter derivative give
+
+        F_n(l) = c u^(n-1) s^(2-n) S,   S = l P(s) + Q(s) + s^(n-2) T(s),
+        c = coef_n (n-1) / (2(n-2)),   P, Q = sum_(k<n-2) r_k s^k (1, e_k),
+        r_0 = 1,   r_(k+1) = r_k (n-3-2k) / (2(n-3-k)),   e_k = H_(n-2) - H_k,
+        T = sum_k W_k s^k ((l + g_k)(L + b_k) - psi'(n-1+k)),
+        W_0 = (-1)^(n/2) n! (n-2) / (2^(2n-3) (n/2)! (n/2-1)! (n-1)),
+        W_(k+1) = W_k (n-1+2k) / (2(k+1)),   g_k = H_(n-2) - H_(n-2+k),
+        b_k = 2 (1 + 1/3 + ... + 1/(n-3+2k)) - H_k - 2 log 2.
+
+    For odd n, r_k is 0 from k = (n-1)/2 and T is 0, so S is a polynomial
+    with positive coefficients.  r_k, r_k e_k, c and v_k = W_k / 2^(n-2+k)
+    (normal for n <= 400) are correctly rounded ratios of exact integers,
+    g_k and b_k compensated sums.  W_k has W_0's sign, b_k > 0 falls and
+    g_k <= 0, so for s <= 1/2 term k of s^(n-2) T is at most a_k =
+    |W_k| s^(n-2+k) ((l - g_k)(b_k - L) + psi'(n-1+k)) <= lam y^(n-2+k) A_k,
+    with y = 2s, lam = -log2 s >= 1 and A_k = a_k at the cut (y = 1).
+    There a_(k+1) / a_k <= R = (n-1+2k) / (4k) for k >= 1 (W's ratio
+    times the bracket's (k+1) / k), falling with k; terms are built until
+    a_k R / (1 - R) < 2^-60 S.  C_(k+1), the A_j past term k plus that
+    bound, makes lam y^(n-1+k) C_(k+1) a bound on the rest after term k.
+
+    Returns (log c, c, l_max, x_max, [(r_k, r_k e_k)] from the top degree
+    down, [(v_k, g_k, b_k, psi'(n-1+k), C_(k+1))], C_0).  Where
+    (n-1) l < l_max (n-1) = 700 + min(log c, 0) and x = u / s < x_max =
+    e^(690/(n-2)), every factor and partial product of c S u x^(n-2) is
+    normal: 1 <= S <= (350 + H_(n-2)) n, log c <= 1.2 and log c > -300
+    (n <= 228; c and l_max are 0 beyond).
+    """
+    c, log_c = _pi_rational(*_c_rational(n))
     if log_c > -300.0:
         l_max = (700.0 + min(log_c, 0.0)) / (n - 1)
         x_max = math.exp(690.0 / (n - 2))
     else:
         c = l_max = x_max = 0.0
     # r_k = rn / rd and e_k = en / d with d = (n-2)!, all exact
+    fact = math.factorial
     d = fact(n - 2)
     en = sum(d // j for j in range(1, n - 1))
     rn = rd = 1
     coefs = []
-    for k in range(m):
+    for k in range(n - 2):
+        if not rn:
+            break
         coefs.append((rn / rd, (rn * en) / (rd * d)))
         en -= d // (k + 1)
-        rn *= m - 1 - k
-        rd *= 2 * m - 2 - k
+        rn *= n - 3 - 2 * k
+        rd *= 2 * (n - 3 - k)
     coefs.reverse()
-    return log_c, c, l_max, x_max, coefs
+    if n % 2:
+        return log_c, c, l_max, x_max, coefs, [], 0.0
+    # the sum at the cut: l P + Q, then the terms of T at L = -log 2
+    total = 0.0
+    for r, e in coefs:
+        total = 0.5 * total + _SERIES_CUT * r + e
+    num = (-1) ** (n // 2) * fact(n) * (n - 2)
+    den = fact(n // 2) * fact(n // 2 - 1) * (n - 1) << 3 * n - 5
+    g = g_err = b_err = 0.0
+    b = math.fsum([2.0 / j for j in range(1, n - 2, 2)] + [-2.0 * _LN2])
+    terms, k = [], 0
+    while True:
+        v, gk, bk, psi = num / den, g + g_err, b + b_err, _trigamma(n - 1 + k)
+        a = abs(v) * ((_SERIES_CUT - gk) * (bk + _LN2) + psi)
+        terms.append([v, gk, bk, psi, a])
+        total += v * ((_SERIES_CUT + gk) * (bk - _LN2) - psi)
+        r = (n - 1 + 2 * k) / (4 * k) if k else 1.0
+        if r < 1.0 and a * r <= _BUILD_TAIL * (1.0 - r) * total:
+            break
+        step = -1.0 / (n - 1 + k)
+        g, g_err = g + step, g_err + (step - ((g + step) - g))
+        step = (3 - n) / ((k + 1) * (n - 1 + 2 * k))
+        b, b_err = b + step, b_err + (step - ((b + step) - b))
+        num *= n - 1 + 2 * k
+        den *= 4 * (k + 1)
+        k += 1
+    # each term's C_(k+1), then C_0
+    rest = a * r / (1.0 - r)
+    for term in reversed(terms):
+        term[4], rest = rest, rest + term[4]
+    return log_c, c, l_max, x_max, coefs, [tuple(term) for term in terms], rest
 
 
-def _odd_kernel(n: int, l: float) -> KernelValue:
-    """F_n(l) for odd n >= 3 and every finite l > 0, in closed form.
+def _s_kernel(n: int, l: float) -> KernelValue:
+    """F_n(l) from the s-series: odd n >= 3 at every l, even n below ln 2 / 2.
 
-    Evaluates _odd_coefficients' form with s = -expm1(-2l), P and Q by
-    Horner's rule; every term is positive, so nothing cancels.  Where
-    the linear scale is safe (see _odd_coefficients) the value is
-    c (l P + Q) u x^(n-2) with u = e^(-l) and x = u / s.  Elsewhere it
-    is exp of log_value = log c - (n-1) l - (n-2) log s + log(l P + Q):
-    value is 0 or subnormal where F underflows, inf with an inf
-    estimate where F overflows, and log_value holds F in both (it is
-    -inf only past l = max double / (n-1), where log F is too).
+    Sums _s_coefficients' form at s = -expm1(-2l): P and Q by Horner's
+    rule, for even n also l P + Q on |coefficients| and T term by term in
+    y = 2s until the bound on its rest, which joins the estimate, is below
+    2^-54 of l P + Q.  Off the linear scale the value is exp(log c -
+    (n-1) l - (n-2) log s + log S), 0 or inf only where F under- or
+    overflows; log_value holds F (-inf only past l = max double / (n-1)).
 
-    The relative error estimate counts, in units of eps, to first order
-    and with exp, expm1, log and pow within an ulp (n = 2m + 1):
-    - linear scale, 4n + 3 >= 2.5 (n + m) + 4, from 2m + 1/2 for
-      l P + Q (m - 1 Horner steps on positive terms, s within 1 raised to
-      powers below m, the coefficients and the last two roundings); 1 for
-      u; 2.5 (n-2) + 1 for x^(n-2), x being within 2.5 (u, s, the
-      division); 0.2 m + 2 for c (pi^m from math.pi); 1.5 for the three
-      products;
-    - log scale, 5n + 2 + 5S, where S = |log c| + (n-1) l +
-      (n-2) |log s| + |log(l P + Q)| bounds every partial sum, from
-      3 |log c| + 6m + 4 for log c (its ratio, shift log 2 and m log pi);
-      half of (n-1) l for that product; n - 2 plus 1.5 times its size
-      for (n-2) log s; 2m + 1.5 plus 1.5 times its size for
-      log(l P + Q); 1.5 S for the three additions; 1 for exp.  That sums
-      to at most 5n + 0.5 + 4.5 S.
-    An ulp of the value joins the estimate for subnormal results.
+    Relative error estimate, in eps, to first order (exp, expm1, log, pow
+    within an ulp, roundings within half of one; p terms in P, K in T):
+    - poly = ((2p + 1 + K) A + (n + 3K + 10) B) / S for S, A being l P + Q
+      on |coefficients| and B = lam y^(n-2) C_0 >= sum a_k: l P + Q is
+      within 2p - 1/2 of A (p - 1 Horner steps, s within 1 in powers
+      below p, the coefficients, the last two roundings), T's K additions
+      within K/2 of A + B, term k within n + 1.5k + 8 of a_k (n - 1 + 1.5k
+      for y^(n-2+k), pow then k products; 1.5 for l + g_k; 4 for L + b_k,
+      |L| >= log 2; 1 for their product; 2.5 for psi' and the difference;
+      1 for v_k and its product).  Odd n has A = S, K = B = 0: poly = n;
+    - linear scale, 3n + 3 + poly: 1 for u, 2.5 (n-2) + 1 for x^(n-2) (x
+      within 2.5), 0.1 n + 2 for c (pi^p, p < n/2), 1.5 for the products;
+    - log scale, 4n + 2 + poly + 5S', S' = |log c| + (n-1) l +
+      (n-2) |log s| + |log S| bounding every partial sum: 3 |log c| + 3n + 4
+      for log c, half its size for (n-1) l, n - 2 plus 1.5 times its size
+      for (n-2) log s, 1 plus 1.5 times its size for log S, 1.5 S' for the
+      three additions, 1 for exp;
+    plus the tail bound over S, and an ulp for subnormal results.
     """
-    log_c, c, l_max, x_max, coefs = _odd_coefficients(n)
+    log_c, c, l_max, x_max, coefs, terms, rest_0 = _s_coefficients(n)
     s = -math.expm1(-2.0 * l)
     p = q = 0.0
     for r, e in coefs:
         p = p * s + r
         q = q * s + e
+    total = l * p + q
+    # odd n: every coefficient is positive, so A = S and T is empty
+    poly, tail = n, 0.0
+    if terms:
+        first = 0.0
+        for r, e in coefs:
+            first = first * s + l * abs(r) + abs(e)
+        log_s = math.log(s)
+        lam = log_s / -_LN2
+        y = 2.0 * s
+        power = y ** (n - 2)
+        second = lam * power * rest_0
+        limit = _SERIES_TAIL * total / lam
+        for count, (v, g, b, psi, rest) in enumerate(terms, 1):
+            total += v * power * ((l + g) * (log_s + b) - psi)
+            power *= y
+            if power * rest <= limit:
+                break
+        tail = lam * power * rest / total
+        poly = ((2 * len(coefs) + 1 + count) * first + (n + 3 * count + 10) * second) / total
     if l < l_max:
         u = math.exp(-l)
         x = u / s
         if x < x_max:
-            value = c * (l * p + q) * u * x ** (n - 2)
-            return KernelValue(value, _EPS * (4 * n + 3) * value, math.log(value))
+            value = c * total * u * x ** (n - 2)
+            return KernelValue(value, (_EPS * (3 * n + 3 + poly) + tail) * value, math.log(value))
     log_s = math.log(s)
     # l P + Q overflows for l near the largest double, q / l for the least
-    log_total = math.log(l * p + q) if l < 1.0 else math.log(l) + math.log(p + q / l)
+    log_total = math.log(total) if l < 1.0 else math.log(l) + math.log(p + q / l)
     log_value = log_c - (n - 1) * l - (n - 2) * log_s + log_total
     if log_value > _LOG_MAX:
         return KernelValue(math.inf, math.inf, log_value)
     value = math.exp(log_value)
     size = abs(log_c) + (n - 1) * l + (n - 2) * abs(log_s) + abs(log_total)
-    err = math.ulp(value) + (_EPS * (5 * n + 2 + 5.0 * size) * value if value else 0.0)
+    rel = _EPS * (4 * n + 2 + poly + 5.0 * size) + tail
+    err = math.ulp(value) + (rel * value if value else 0.0)
     return KernelValue(value, err, log_value)
 
 
 def volume_kernel(n: int, l: float) -> KernelValue:
     """Volume kernel for any dimension n >= 2.
 
-    n = 2 returns the closed form with zero error estimate.  Odd n >= 3
-    returns its closed form in s = 1 - e^(-2l) at every length (see
-    _odd_kernel).  Even n >= 4 sums the t-series from l = ln 2 / 2 on
-    (see _series_kernel) and runs the radial quadrature below that,
-    whose NonConvergenceError and OverflowError propagate.  The closed
-    form and the series return a relative error estimate of a few eps
-    times n, the term count or (n-1) l; value is 0 only where F
-    underflows and inf only where it overflows, and log_value holds F
-    there.
-    """
+    n = 2 is the closed form with zero error estimate.  Odd n >= 3, and
+    even n below l = ln 2 / 2, sum the s-series (_s_kernel), even n from
+    there on the t-series (_series_kernel), with a relative estimate of a
+    few eps times n, the term count or (n-1) l; value is 0 or inf only
+    where F under- or overflows, and log_value holds F there."""
     _check_kernel_args(n, l, least_n=2)
     if n == 2:
         value = surface_kernel(l)
         return KernelValue(value, 0.0, _log_of(value))
-    if n % 2:
-        return _odd_kernel(n, l)
-    if l >= _SERIES_CUT:
-        return _series_kernel(n, l)
-    return volume_kernel_radial(n, l)
+    if n % 2 or l < _SERIES_CUT:
+        return _s_kernel(n, l)
+    return _series_kernel(n, l)

@@ -1,7 +1,8 @@
 """High-precision reference values of the volume kernel F_n.
 
-Two tables: every n in 3..100 for l >= ln 2 / 2 (the t-series), and odd n
-below ln 2 / 2 (the closed form in s = 1 - e^(-2l)).  Both evaluate the
+Two tables: every n in 3..100 for l >= ln 2 / 2 (where even n sums the
+t-series), and odd and even n below ln 2 / 2 (where every n sums the
+s-series in s = 1 - e^(-2l)).  Both evaluate the
 Gauss hypergeometric form of the kernel in mpmath, with exact coefficients:
 
     F_n(l) = coef_n t^b [(l + c_n) 2F1(a, b; c; t) - d/ds 2F1(a+s, b; c+s; t)],
@@ -12,18 +13,19 @@ c_n = H_((n-1)/2) = psi((n+1)/2) + Euler's gamma.  The derivative is
 mpmath's numerical ``diff``.  The form loses about |log10 l| digits as
 t -> 1, so lengths below 1 run at dps = 40 + 2 |log10 l|, and the others at
 40.  Each n = 3 value is checked against the closed form
-pi (1 + l) / (e^(2l) - 1), and a few odd-table points against mpmath's
+pi (1 + l) / (e^(2l) - 1), and a few small-length points against mpmath's
 ``quad`` of the radial integral (the inner kernel's closed form from
-``gen_inner_reference.py``); a mismatch stops the generator.  Every point
+``gen_inner_reference.py``), of either parity; a mismatch stops the
+generator.  Every point
 stores the natural log of F as well as F, because F leaves the double range
 at large l and, for large n, at small l; the log is what the tests compare
 there.  Writes ``tests/data/series_reference.json`` and
-``tests/data/odd_reference.json``.
+``tests/data/s_series_reference.json``.
 
     python tests/gen_series_reference.py           # write the files
     python tests/gen_series_reference.py --check   # recompute and diff
 
-Needs mpmath (the ``test`` extra).  A run takes about three minutes.
+Needs mpmath (the ``test`` extra).  A run takes about thirty seconds.
 """
 
 from __future__ import annotations
@@ -40,19 +42,20 @@ from gen_inner_reference import closed_form as inner_kernel
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 PATH = os.path.join(DATA, "series_reference.json")
-ODD_PATH = os.path.join(DATA, "odd_reference.json")
+S_PATH = os.path.join(DATA, "s_series_reference.json")
 DIMENSIONS = (3, 4, 5, 6, 7, 8, 10, 13, 16, 20, 25, 30, 40, 50, 60, 80, 100)
 # the first length is the double nearest ln 2 / 2, where the series starts
 LENGTHS = (0.5 * math.log(2.0), 0.35, 0.4, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0,
            8.0, 12.0, 20.0, 30.0, 50.0, 100.0, 200.0, 354.0, 400.0, 700.0,
            1000.0, 3000.0, 1e4)
-ODD_DIMENSIONS = (3, 5, 7, 9, 13, 21, 39, 41, 59, 99)
-# the last length is the double below ln 2 / 2, where the series takes over
-# for even n
-ODD_LENGTHS = (1e-12, 1e-9, 3.2e-9, 1e-6, 1e-3, 0.1, 0.3,
-               math.nextafter(0.5 * math.log(2.0), 0.0))
+S_DIMENSIONS = (3, 4, 5, 6, 7, 8, 9, 10, 13, 20, 21, 39, 40, 41, 59, 60, 99, 100)
+# the last length is the double below ln 2 / 2, where the t-series takes
+# over for even n
+S_LENGTHS = (1e-12, 1e-9, 3.2e-9, 1e-6, 1e-3, 0.1, 0.3,
+             math.nextafter(0.5 * math.log(2.0), 0.0))
 # (n, l) checked against the radial integral, a few seconds each
-QUAD_POINTS = ((5, 1e-3), (5, 0.1), (5, 0.3), (9, 1e-3), (9, 0.1), (9, 0.3))
+QUAD_POINTS = ((4, 1e-3), (4, 0.1), (4, 0.3), (5, 1e-3), (5, 0.1), (5, 0.3),
+               (9, 1e-3), (9, 0.1), (9, 0.3), (10, 0.1))
 DPS = 40
 DIGITS = 20
 
@@ -133,7 +136,7 @@ def tables():
     """{path: points} for the two tables."""
     return {
         PATH: table(DIMENSIONS, LENGTHS),
-        ODD_PATH: table(ODD_DIMENSIONS, ODD_LENGTHS, QUAD_POINTS),
+        S_PATH: table(S_DIMENSIONS, S_LENGTHS, QUAD_POINTS),
     }
 
 

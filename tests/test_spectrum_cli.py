@@ -176,6 +176,27 @@ def test_cli_bound_floor_below_the_normal_range(capsys):
         assert abs(mpmath.mpf(fields["power_floor"]) - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("argv", [
+    # K_340 l^-338 is below the smallest double at l = 1: the column
+    # printed 0 in both rows
+    ["-n", "340", "--lmin", "0.5", "--lmax", "1"],
+    # l^98 overflows at l = 1e4: the table exited 2 with "Numerical result
+    # out of range"
+    ["-n", "100", "--lmin", "1", "--lmax", "1e4"],
+])
+def test_cli_table_floor_off_the_normal_range(argv, capsys):
+    assert main(["table", *argv, "--steps", "2", "--floor"]) == 0
+    rows = capsys.readouterr().out.split()[1:]
+    n = int(argv[1])
+    with mpmath.workdps(40):
+        for row in rows:
+            l, _, _, floor = row.split(",")
+            want = small_length_constant_mp(n) * mpmath.mpf(l) ** (2 - n)
+            # from log K_n - (n-2) log l, whose rounding of about its size
+            # in ulp bounds the error
+            assert abs(mpmath.mpf(floor) - want) <= 1e-12 * want
+
+
 def test_cli_kn_rejects_dimension_below_three(capsys):
     assert main(["kn", "-n", "2"]) == 2
     assert "dimension must be >= 3" in capsys.readouterr().err
@@ -377,9 +398,9 @@ def test_cli_rejects_negative_digits(capsys):
 
 
 def test_cli_exit_code_non_convergence(capsys):
-    # below l = ln 2 / 2 an even dimension integrates, and F_8 at 3.6e-9
-    # misses the quadrature's target
-    assert main(["fn", "-n", "8", "-l", "3.55714e-9"]) == 3
+    # no kernel value integrates; an infinite area leaves the bound's
+    # crossing unbracketed
+    assert main(["bound", "-n", "3", "-A", "inf"]) == 3
     assert "error:" in capsys.readouterr().err
 
 

@@ -186,23 +186,33 @@ def test_small_length_band_dimension_three():
 
 def test_dispatcher_routes():
     # Dimension 2 uses the closed form (no quadrature error).  Below
-    # l = ln 2 / 2 dimension 4 is the radial quadrature bit for bit; from
-    # there on it is the t-series.  Odd dimensions take their own closed
-    # form at every length.  Both agree with the quadrature within the two
-    # estimates.
+    # l = ln 2 / 2 dimension 4 is the s-series, from there on the
+    # t-series; odd dimensions take the s-series at every length.  Each
+    # agrees with the radial quadrature within the two estimates from
+    # l = 0.1 on (below that the quadrature's estimate is no bound: at
+    # (8, 1e-3) it is 5 times short; the 40-digit tables of
+    # test_odd_kernel.py cover small l), and the even dimensions are
+    # continuous across the cut within them.
+    module = importlib.import_module("orthovol.volume_kernel")
     kv2 = volume_kernel(2, 1.0)
     assert kv2.value == surface_kernel(1.0)
     assert kv2.err_estimate == 0.0
-    for l in (0.1, math.nextafter(_SERIES_CUT, 0.0)):
-        assert volume_kernel(4, l) == volume_kernel_radial(4, l)
-    for n in (3, 5, 8):
-        for l in (_SERIES_CUT, 1.0, 3.0):
+    below = math.nextafter(_SERIES_CUT, 0.0)
+    for l in (1e-3, 0.1, below):
+        assert volume_kernel(4, l) == module._s_kernel(4, l)
+    for n in (3, 4, 5, 6, 8):
+        for l in (0.1, below, _SERIES_CUT, 1.0, 3.0):
             series = volume_kernel(n, l)
             radial = volume_kernel_radial(n, l)
             assert series != radial
             assert abs(series.value - radial.value) <= (
                 series.err_estimate + radial.err_estimate
             )
+    for n in (4, 6, 8, 20, 60, 100):
+        left, right = volume_kernel(n, below), volume_kernel(n, _SERIES_CUT)
+        assert right == module._series_kernel(n, _SERIES_CUT)
+        assert abs(left.value - right.value) <= left.err_estimate + right.err_estimate
+        assert right.value <= left.value + left.err_estimate + right.err_estimate
 
 
 @pytest.mark.parametrize(
@@ -231,10 +241,10 @@ def test_underflowing_kernel_keeps_log_value(l):
 
 
 def test_overflowing_inner_kernel_raises_overflow_error():
-    # at l = 1e-8 the integrand reaches b = 1 + 2e-8, where m_60(b) is
-    # past the double range: an error that names the inner kernel
+    # at l = 1e-8 the radial integrand reaches b = 1 + 2e-8, where m_60(b)
+    # is past the double range: an error that names the inner kernel
     with pytest.raises(OverflowError, match=r"inner kernel m_n\(b\) leaves"):
-        volume_kernel(60, 1e-8)
+        volume_kernel_radial(60, 1e-8)
 
 
 # F_n(l) from the 60-digit hypergeometric form of
@@ -256,18 +266,19 @@ def test_small_length_radial_keeps_e2l_minus_one(n, l):
 
 
 def test_volume_kernel_never_calls_alt(monkeypatch):
-    # the radial quadrature is the one path for even n >= 4 below
-    # l = ln 2 / 2: where it misses its target, as for F_8 at 3.6e-9 (a
-    # known miss of the benchmark's kernel_domain), its
-    # NonConvergenceError propagates
+    # neither integral form nor the integrator serves volume_kernel: F_8 at
+    # 3.6e-9, where the radial quadrature missed its target (a known miss
+    # of the benchmark's kernel_domain), comes from the s-series within its
+    # estimate of the 60-digit hypergeometric value
     def fail(*args, **kwargs):
-        raise AssertionError("volume_kernel called volume_kernel_alt")
+        raise AssertionError("volume_kernel integrated")
 
     # the package attribute volume_kernel is the function, not the module
     module = importlib.import_module("orthovol.volume_kernel")
-    monkeypatch.setattr(module, "volume_kernel_alt", fail)
-    with pytest.raises(NonConvergenceError):
-        volume_kernel(8, 3.55714e-9)
+    for name in ("volume_kernel_alt", "volume_kernel_radial", "adaptive_quad"):
+        monkeypatch.setattr(module, name, fail)
+    kv = volume_kernel(8, 3.55714e-9)
+    assert abs(kv.value - 3.031373944796557869150953e49) <= kv.err_estimate
 
 
 def test_dispatcher_validation():

@@ -72,18 +72,25 @@ def collar_volume_factor(n: int, r: float) -> float:
 
     Binomial expansion of cosh^(n-1) integrates term by term to
     2^(1-n) sum_j C(n-1, j) expm1((n-1-2j) r) / (n-1-2j), the middle
-    term degenerating to r when n is odd.
+    term degenerating to r when n is odd.  Each weight C(n-1, j) / 2^(n-1)
+    is one correctly rounded quotient of exact integers, so neither
+    C(n-1, j) nor 2^(n-1) has to be a double: the sum is finite wherever
+    the factor is, except that expm1 raises OverflowError once (n-1) r
+    passes 709.78.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
     if r < 0.0:
         raise ValueError("width must be >= 0")
     m = n - 1
+    den = 1 << m
     total = 0.0
+    comb = 1
     for j in range(m + 1):
         e = m - 2 * j
-        total += math.comb(m, j) * (r if e == 0 else math.expm1(e * r) / e)
-    return total / 2.0 ** m
+        total += comb / den * (r if e == 0 else math.expm1(e * r) / e)
+        comb = comb * (m - j) // (j + 1)
+    return total
 
 
 def power_law_floor(n: int, area: float) -> float:
@@ -112,13 +119,13 @@ class BoundResult(NamedTuple):
     crossing_length: half-width x where kernel(2x) equals the collar
     volume area * collar_volume_factor(x).
     bound: kernel value at 2x, the certified volume lower bound.
-    power_floor: closed-form floor for comparison; bound >= power_floor
-    does not hold for every area, only the asymptotic exponent matches.
+    power_law_floor(n, area) is the closed-form floor to compare with;
+    bound >= floor does not hold for every area, only the asymptotic
+    exponent matches.
     """
 
     crossing_length: float
     bound: float
-    power_floor: float
 
 
 def volume_bound(n: int, area: float) -> BoundResult:
@@ -173,4 +180,4 @@ def volume_bound(n: int, area: float) -> BoundResult:
         raise NonConvergenceError(
             "collar crossing did not converge", math.exp(t_star), math.nan
         )
-    return BoundResult(math.exp(t_star), kernel(t_star).value, power_law_floor(n, area))
+    return BoundResult(math.exp(t_star), kernel(t_star).value)

@@ -70,7 +70,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     print("crossing_length", _fmt(res.crossing_length, args.digits))
     print("bound", _fmt(res.bound, args.digits))
     log_floor = _log_power_law_floor(args.dim, args.area)
-    print("power_floor", _fmt_log(res.power_floor, log_floor, args.digits))
+    print("power_floor", _fmt_log(math.exp(log_floor), log_floor, args.digits))
     return 0
 
 

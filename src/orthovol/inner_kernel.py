@@ -20,7 +20,7 @@ from functools import cache
 from operator import mul
 from typing import NamedTuple
 
-from .special import harmonic, truncated_log
+from .special import partial_log_series, truncated_log
 
 __all__ = [
     "inner_kernel",
@@ -76,7 +76,7 @@ def _closed_form(n: int, b: float) -> float:
         )
     m = n - 3
     sgn = -1.0 if n % 2 else 1.0
-    h2 = 2.0 * harmonic(n - 2)
+    h2 = 2.0 * partial_log_series(n - 2, 1.0)
     lbp = math.log(b + 1.0)
     lbm = math.log(b - 1.0)
     lb = math.log(b)
@@ -265,9 +265,9 @@ class KernelAsymptotics(NamedTuple):
 
 
 def inner_kernel_asymptotics(n: int) -> KernelAsymptotics:
-    """Endpoint coefficients: 2 harmonic(n-2) / ((n-1)(n-2)) and 4/(n-1)."""
+    """Endpoint coefficients: 2 H_(n-2) / ((n-1)(n-2)) and 4/(n-1)."""
     if n < 3:
         raise ValueError("dimension must be >= 3")
-    near = 2.0 * harmonic(n - 2) / ((n - 1.0) * (n - 2.0))
+    near = 2.0 * partial_log_series(n - 2, 1.0) / ((n - 1.0) * (n - 2.0))
     far = 4.0 / (n - 1.0)
     return KernelAsymptotics(near, far)

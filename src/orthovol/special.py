@@ -1,9 +1,10 @@
 """Elementary special functions shared by the kernel modules.
 
 Everything here is scalar float math: partial sums of the logarithm
-series, harmonic numbers, and the dilogarithm together with its Rogers
-normalization.  These are small enough that hand-rolled versions beat
-pulling in mpmath, and the kernel code needs them in tight loops.
+series, which at one are the harmonic numbers, and the dilogarithm
+together with its Rogers normalization.  These are small enough that
+hand-rolled versions beat pulling in mpmath, and the kernel code needs
+them in tight loops.
 
 The kernel's gamma-function constants are each a rational times a power
 of pi, and volume_kernel builds them from exact integers: a float product
@@ -16,7 +17,6 @@ import math
 
 __all__ = [
     "partial_log_series",
-    "harmonic",
     "truncated_log",
     "dilogarithm",
     "rogers_l",
@@ -26,7 +26,8 @@ __all__ = [
 def partial_log_series(n: int, z: float) -> float:
     """Partial sum z + z^2/2 + ... + z^n/n of -log(1-z).
 
-    n = 0 gives the empty sum.
+    n = 0 gives the empty sum; z = 1 gives the n-th harmonic number,
+    summed in ascending order.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
@@ -35,20 +36,6 @@ def partial_log_series(n: int, z: float) -> float:
     for k in range(1, n + 1):
         power *= z
         total += power / k
-    return total
-
-
-def harmonic(n: int) -> float:
-    """n-th harmonic number, summed in ascending order.
-
-    Matches partial_log_series(n, 1.0) bit for bit because both
-    accumulate the same terms in the same order.
-    """
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    total = 0.0
-    for k in range(1, n + 1):
-        total += 1.0 / k
     return total
 
 
@@ -72,7 +59,7 @@ def _log_tail(n: int, x: float) -> float:
     return -total
 
 
-def truncated_log(n: int, x: float, log_one_minus: float | None = None) -> float:
+def truncated_log(n: int, x: float, log_one_minus: float) -> float:
     """log|1-x| plus the first n series terms x + x^2/2 + ... + x^n/n.
 
     Equals the negative series tail -sum_{k>n} x^k/k for |x| < 1, which
@@ -81,15 +68,13 @@ def truncated_log(n: int, x: float, log_one_minus: float | None = None) -> float
     to O(x^(n+1)).  For |x| > 1/2 the direct form is fine and also valid
     for |x| >= 1 where the tail series diverges.
 
-    log_one_minus, when given, must equal log|1-x|; callers that know
-    1-x in closed form pass it to avoid the rounding in computing 1-x.
+    log_one_minus must equal log|1-x|; callers know 1-x in closed form
+    and pass its log, which avoids the rounding in computing 1-x.
     """
     if x == 1.0:
         raise ValueError("truncated_log undefined at x = 1")
     if abs(x) <= 0.5:
         return _log_tail(n, x)
-    if log_one_minus is None:
-        log_one_minus = math.log(abs(1.0 - x))
     return log_one_minus + partial_log_series(n, x)
 
 

@@ -6,7 +6,8 @@ over the orthospectrum.  For n = 2 the kernel is a Rogers dilogarithm
 expression, for n >= 3 a series in s = 1 - e^(-2l), closed for odd n,
 which even n sums below l = ln 2 / 2 and a series in t = e^(-2l) above.
 The inner kernel's integral, kept in two parametrizations as the tests'
-reference, never serves volume_kernel.
+reference, never serves volume_kernel; it runs on scipy's QUADPACK
+through adaptive_quad, so only these two forms need the test extra.
 """
 
 from __future__ import annotations

@@ -36,6 +36,20 @@ def test_collar_factor_matches_quadrature(n, r):
     assert collar_volume_factor(n, r) == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n,r",
+    [(n, r) for n in (639, 1001, 1025, 2001) for r in (1e-3, 0.05, 0.3)] + [(639, 1.0)],
+)
+def test_collar_factor_past_the_double_binomials(n, r):
+    # summed before dividing by 2^(n-1), the terms passed the largest
+    # double at (639, 1), where the factor is 3.2e117, and 2^(n-1) itself
+    # raised OverflowError from n = 1025.  A sum of positive terms,
+    # measured within 1.03e-15 of the integral.
+    with mpmath.workdps(30):
+        want = mpmath.quad(lambda t: mpmath.cosh(t) ** (n - 1), [0, r])
+        assert abs(collar_volume_factor(n, r) / want - 1) <= 2e-15
+
+
 def test_collar_factor_dominates_sinh():
     for n in range(2, 9):
         for k in range(1, 41):
@@ -90,7 +104,6 @@ def test_volume_bound_sphere_area():
     assert res.bound == pytest.approx(2.986, rel=1e-2)
     assert res.bound == pytest.approx(2.98607822881579, rel=1e-9)
     assert res.crossing_length == pytest.approx(0.2333430965422824, rel=1e-9)
-    assert res.power_floor == pytest.approx(math.pi, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -211,7 +224,7 @@ def test_volume_bound_past_the_gamma_overflow(n, area):
     res = volume_bound(n, area)
     right = area * collar_volume_factor(n, res.crossing_length)
     assert abs(res.bound / right - 1.0) <= 6e-13
-    assert math.isfinite(res.power_floor)
+    assert math.isfinite(power_law_floor(n, area))
 
 
 def test_volume_bound_tiny_area_takes_no_log_of_zero():

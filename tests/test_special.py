@@ -1,12 +1,12 @@
 """Tests for the classical special-function helpers."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from orthovol.special import (
     dilogarithm,
-    harmonic,
     partial_log_series,
     rogers_l,
     truncated_log,
@@ -45,37 +45,40 @@ def test_partial_log_series_rejects_negative_order():
 
 
 def test_harmonic_values():
-    assert harmonic(0) == 0.0
-    assert harmonic(1) == 1.0
-    assert harmonic(3) == pytest.approx(11.0 / 6.0, abs=1e-15)
+    assert partial_log_series(0, 1.0) == 0.0
+    assert partial_log_series(1, 1.0) == 1.0
+    assert partial_log_series(3, 1.0) == pytest.approx(11.0 / 6.0, abs=1e-15)
 
 
 def test_harmonic_equals_series_at_one():
-    # The harmonic number is the log series truncated at n at argument
-    # one; the two code
-    # paths must agree bit for bit since both sum ascending.
-    for n in range(0, 51):
-        assert harmonic(n) == partial_log_series(n, 1.0)
+    # The harmonic number H_n is the log series truncated at n at
+    # argument one: n ascending roundings keep it within n ulp
+    exact = Fraction(0)
+    for n in range(1, 51):
+        exact += Fraction(1, n)
+        got = partial_log_series(n, 1.0)
+        assert abs(Fraction(got) - exact) <= n * math.ulp(got)
 
 
 def test_harmonic_recursion():
+    # the powers of one stay exact, so each step adds 1/n
     for n in range(1, 51):
-        assert harmonic(n) == harmonic(n - 1) + 1.0 / n
+        assert partial_log_series(n, 1.0) == partial_log_series(n - 1, 1.0) + 1.0 / n
 
 
 def test_truncated_log_full_log_branch():
     # n = 0 keeps the whole series: -log(1 - x)
-    assert truncated_log(0, -1.0) == pytest.approx(math.log(2.0), rel=1e-15)
+    assert truncated_log(0, -1.0, math.log(2.0)) == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 def test_truncated_log_zero_argument():
-    assert truncated_log(5, 0.0) == 0.0
+    assert truncated_log(5, 0.0, 0.0) == 0.0
 
 
 def test_truncated_log_frozen_value():
     # log(1/2) + 1/2 + 1/8, checked against the brute tail sum
     expected = -0.0681471805599453
-    assert truncated_log(2, 0.5) == pytest.approx(expected, abs=1e-15)
+    assert truncated_log(2, 0.5, math.log(0.5)) == pytest.approx(expected, abs=1e-15)
     assert brute_tail(2, 0.5) == pytest.approx(expected, abs=1e-14)
 
 
@@ -85,14 +88,14 @@ def test_truncated_log_matches_brute_tail(n, x):
     # The implementation switches between a direct log form and the tail
     # series at |x| = 0.5; both sides of the switch must agree with the
     # brute-force tail to full precision.
-    got = truncated_log(n, x)
+    got = truncated_log(n, x, math.log(abs(1.0 - x)))
     want = brute_tail(n, x)
     assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
 
 def test_truncated_log_pole_rejected():
     with pytest.raises(ValueError):
-        truncated_log(3, 1.0)
+        truncated_log(3, 1.0, -math.inf)
 
 
 def test_dilogarithm_endpoints():

@@ -14,6 +14,7 @@ from test_constants import small_length_constant_mp
 
 from orthovol import (
     SpectrumFormatError,
+    collar_volume_factor,
     inner_kernel,
     parse_spectrum,
     small_length_constant,
@@ -218,6 +219,15 @@ def test_cli_kn_default_table(capsys):
     first_dim, first_val = lines[0].split()
     assert first_dim == "3"
     assert float(first_val) == pytest.approx(math.pi / 2.0, rel=1e-15)
+
+
+def test_cli_bound_past_the_double_binomials(capsys):
+    # the collar factor raised OverflowError from n = 1025, which exited 2
+    assert main(["bound", "-n", "2001", "-A", "1"]) == 0
+    fields = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    x = float(fields["crossing_length"])
+    assert x == pytest.approx(0.023035667718509258, rel=1e-12)
+    assert float(fields["bound"]) == pytest.approx(collar_volume_factor(2001, x), rel=1e-12)
 
 
 def test_cli_bound_labels(capsys):
@@ -453,19 +463,25 @@ def test_console_script_installed():
     assert float(proc.stdout.strip()) == pytest.approx(math.pi / 2.0, rel=1e-15)
 
 
-def test_cli_runs_without_scipy_or_numpy():
+def test_cli_runs_without_scipy_or_numpy(tmp_path):
     # the package has no runtime dependency: a fresh process that imports
-    # it, then runs kernel values, a bound solve, a log-scale table and the
-    # selftest, must not have imported scipy or numpy at any point
+    # it and its CLI, then runs every command but --help, must not have
+    # imported scipy or numpy at any point
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    spectrum = tmp_path / "spectrum.txt"
+    spectrum.write_text("0.5 2\n1.5\n")
     script = (
         "import os, sys\n"
         "def loaded():\n"
         "    return [m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')]\n"
-        "import orthovol\n"
+        "import orthovol, orthovol.cli\n"
         "print('import', loaded())\n"
         "from orthovol.cli import main\n"
         "assert main(['fn', '-n', '3', '-l', '1']) == 0\n"
+        "assert main(['fn', '-n', '2', '-l', '1']) == 0\n"
+        "assert main(['mn', '-n', '4', '-b', '2']) == 0\n"
+        "assert main(['kn']) == 0\n"
+        f"assert main(['sum', '-n', '4', {str(spectrum)!r}]) == 0\n"
         "assert main(['bound', '-n', '3', '-A', '4']) == 0\n"
         "assert main(['table', '-n', '3', '--lmin', '0.1', '--lmax', '5',\n"
         "             '--scale', 'log', '-o', os.devnull]) == 0\n"

@@ -11,11 +11,7 @@ from .bounds import (
     power_law_floor,
     volume_bound,
 )
-from .inner_kernel import (
-    KernelAsymptotics,
-    inner_kernel,
-    inner_kernel_asymptotics,
-)
+from .inner_kernel import inner_kernel
 from .quadrature import KernelValue, NonConvergenceError
 from .special import rogers_l
 from .spectrum import SpectrumFormatError, parse_spectrum, spectrum_volume
@@ -29,13 +25,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundResult",
-    "KernelAsymptotics",
     "KernelValue",
     "NonConvergenceError",
     "SpectrumFormatError",
     "collar_volume_factor",
     "inner_kernel",
-    "inner_kernel_asymptotics",
     "parse_spectrum",
     "power_law_floor",
     "rogers_l",

@@ -7,7 +7,7 @@ sections.  inner_kernel evaluates it on two branches chosen by b:
 
 * b < 3: the closed form, four groups of truncated logarithms;
 * b >= 3: the far-field series b^(1-n) sum_j b^(-2j) (alpha_j log b +
-  beta_j), whose coefficients are built once per dimension.
+  beta_j), whose coefficients are built on first use per dimension.
 
 Both are within 1e-15 relative of a high-precision evaluation of the
 closed form for n <= 100.
@@ -18,15 +18,10 @@ from __future__ import annotations
 import math
 from functools import cache
 from operator import mul
-from typing import NamedTuple
 
 from .special import partial_log_series, truncated_log
 
-__all__ = [
-    "inner_kernel",
-    "inner_kernel_asymptotics",
-    "KernelAsymptotics",
-]
+__all__ = ["inner_kernel"]
 
 
 def _check_ratio(b: float) -> None:
@@ -43,10 +38,8 @@ def inner_kernel(n: int, b: float) -> float:
     O(b^(1-n) log b); it lost up to 4e-5 relative by b = 1e12 and
     overflowed at large n.  The series converges like 9^(-j) at b = 3,
     where it takes 18 terms for n = 3, 24 for n = 8 and 55 for n = 60;
-    at b = 1e3 it takes 4 to 6, and from b = 2^29 (n = 3) or 2^34
-    (n = 60) on a single term.  Against a 40-plus-digit mpmath
-    evaluation at 400 random points each, both branches are within
-    7.5e-16 relative for n <= 100.
+    it sums them all at every b.  Against a 40-plus-digit mpmath
+    evaluation, both branches are within 8.5e-16 relative for n <= 100.
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
@@ -102,15 +95,18 @@ def _closed_form(n: int, b: float) -> float:
         truncated_log(m, 2.0 / (b + 1.0), lbm - lbp)
         - sgn * truncated_log(m, -2.0 / (b - 1.0), lbp - lbm)
     )
+    # 2^(n-2) as an exponent shift: (2b)^(n-2) overflows near b = 3
+    # from n = 399
     return (
         g1 / near
         + g2 / (b + 1.0) ** k
-        + g3 / (2.0 * b) ** k
-        + g4 / 2.0 ** k
+        + math.ldexp(g3 / b**k, -k)
+        + math.ldexp(g4, -k)
     ) / ((n - 1.0) * (n - 2.0))
 
 
-def _far_field_coefficients(n: int) -> tuple[list[float], list[float]]:
+@cache
+def _far_field_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Coefficients of the far-field series, as far as b = 3 needs them.
 
     Substituting v = b w, t = 1/b in the defining integral and expanding
@@ -178,63 +174,27 @@ def _far_field_coefficients(n: int) -> tuple[list[float], list[float]]:
         binom = binom * q * (q + 1) // ((2 * j + 1) * (2 * j + 2))
         nine_j *= 9
         j += 1
-    return alpha, beta
-
-
-@cache
-def _far_field_octaves(n: int) -> list[tuple[list[tuple[float, float]], bool]]:
-    """Per frexp(b)[1], the series terms an octave of b needs.
-
-    The octave 2^(E-1) <= b < 2^E keeps the fewest (alpha_j, beta_j)
-    pairs, highest j first, whose dropped tail at its lower end
-    max(3, 2^(E-1)) is below 2^-57 of the sum there.  The flag marks
-    octaves whose terms there have a mean power j above 1: Horner's rule
-    carries the rounding of x = 9/b^2 into term j about j times, which
-    costs up to 2e-15 at n = 60 and 3.5e-15 at n = 100 near b = 3, so
-    there the rounding is put back.
-    """
-    alpha, beta = _far_field_coefficients(n)
-    pairs = list(zip(alpha, beta))
-    octaves: list[tuple[list[tuple[float, float]], bool]] = [([], False)] * 2
-    keep = len(pairs)
-    fix_x = True
-    while len(octaves) < 1025:
-        lower = max(3.0, 2.0 ** (len(octaves) - 1))
-        x = 9.0 / (lower * lower)
-        lb = math.log(lower)
-        # the count only falls with b, so the last octave's count bounds this one's
-        terms = [x**j * (a * lb + c) for j, (a, c) in enumerate(pairs[:keep])]
-        total = sum(terms)
-        tail = 0.0
-        while keep > 1 and tail + terms[keep - 1] <= 2.0 ** -57 * total:
-            keep -= 1
-            tail += terms[keep]
-        fix_x = fix_x and sum(map(mul, range(keep), terms)) > total
-        octaves.append((pairs[keep - 1 :: -1], fix_x))
-        if keep == 1 and not fix_x:
-            octaves += octaves[-1:] * (1025 - len(octaves))
-    return octaves
+    return tuple(alpha), tuple(beta)
 
 
 def _far_field(n: int, b: float) -> float:
-    """Far-field series for b >= 3, by Horner's rule in x = 9/b^2."""
-    pairs, fix_x = _far_field_octaves(n)[math.frexp(b)[1]]
+    """Far-field series for b >= 3, by Horner's rule in x = 9/b^2.
+
+    Every stored term, top term first.  Horner's rule carries the
+    rounding of x into term j about j times, which costs up to 3.5e-15
+    at n = 100 near b = 3, so the slope adds back the exact 9/b^2 - x,
+    from the integer ratios of b and x, to first order.
+    """
+    alpha, beta = _far_field_coefficients(n)
     lb = math.log(b)
     x = 9.0 / (b * b)
-    acc = 0.0
-    if fix_x:
-        # with the slope, add back the exact 9/b^2 - x, from the
-        # integer ratios of b and x, to first order
-        slope = 0.0
-        for a, c in pairs:
-            slope = slope * x + acc
-            acc = acc * x + (a * lb + c)
-        p, q = b.as_integer_ratio()
-        xp, xq = x.as_integer_ratio()
-        acc += slope * ((9 * q * q * xq - xp * p * p) / (p * p * xq))
-    else:
-        for a, c in pairs:
-            acc = acc * x + (a * lb + c)
+    acc = slope = 0.0
+    for a, c in zip(reversed(alpha), reversed(beta)):
+        slope = slope * x + acc
+        acc = acc * x + (a * lb + c)
+    p, q = b.as_integer_ratio()
+    xp, xq = x.as_integer_ratio()
+    acc += slope * ((9 * q * q * xq - xp * p * p) / (p * p * xq))
     k = n - 1
     if k * lb < 709.0:
         return acc / b**k
@@ -249,25 +209,3 @@ def _far_field(n: int, b: float) -> float:
         shift += e
         k -= step
     return math.ldexp(acc, shift)
-
-
-class KernelAsymptotics(NamedTuple):
-    """Leading coefficients of the kernel at the two ends of its range.
-
-    near_one_coefficient: limit of the kernel as b -> 1+ after
-    multiplying by (b-1)^(n-2).
-    far_log_coefficient: limit of b^(n-1)/log(b) times the kernel as
-    b -> inf.
-    """
-
-    near_one_coefficient: float
-    far_log_coefficient: float
-
-
-def inner_kernel_asymptotics(n: int) -> KernelAsymptotics:
-    """Endpoint coefficients: 2 H_(n-2) / ((n-1)(n-2)) and 4/(n-1)."""
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
-    near = 2.0 * partial_log_series(n - 2, 1.0) / ((n - 1.0) * (n - 2.0))
-    far = 4.0 / (n - 1.0)
-    return KernelAsymptotics(near, far)

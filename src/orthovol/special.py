@@ -3,8 +3,7 @@
 Everything here is scalar float math: partial sums of the logarithm
 series, which at one are the harmonic numbers, and the dilogarithm
 together with its Rogers normalization.  These are small enough that
-hand-rolled versions beat pulling in mpmath, and the kernel code needs
-them in tight loops.
+hand-rolled versions beat pulling in mpmath.
 
 The kernel's gamma-function constants are each a rational times a power
 of pi, and volume_kernel builds them from exact integers: a float product

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import inner_kernel_3d, inner_kernel_4d, inner_kernel_integral
-from orthovol import KernelAsymptotics, inner_kernel, inner_kernel_asymptotics
+from orthovol import inner_kernel
 from orthovol.inner_kernel import (
     _closed_form,
     _far_field,
@@ -59,8 +59,6 @@ def test_rejects_bad_dimension():
         inner_kernel(2, 2.0)
     with pytest.raises(ValueError):
         inner_kernel_integral(2, 2.0)
-    with pytest.raises(ValueError):
-        inner_kernel_asymptotics(2)
 
 
 def test_rejects_bad_ratio():
@@ -208,12 +206,21 @@ def test_branches_agree_at_the_switch(n):
     assert inner_kernel(n, 3.0) == _far_field(n, 3.0)
 
 
+@pytest.mark.parametrize("n", [399, 444, 500, 513])
+def test_closed_form_scales_powers_of_two_apart(n):
+    # (2b)^(n-2) overflowed at b = 2.99 from n = 399 (b = 2.5 from
+    # n = 444); 2^(n-2) is now applied as an exponent shift.  Both sides
+    # of the switch meet the series to 4.9e-15.  From n = 515,
+    # (b+1)^(n-2) still overflows just below b = 3.
+    for b in (3.0 * (1.0 - 2.0**-40), 3.0 * (1.0 + 2.0**-40)):
+        assert _closed_form(n, b) == pytest.approx(_far_field(n, b), rel=1e-14, abs=0)
+
+
 def test_far_field_leading_coefficients():
     # alpha_0 = 4/(n-1) is the far-field log coefficient, beta_0/alpha_0 = r_n
     for n in range(3, 9):
         alpha, beta = _series_coefficients(n)
-        far_log = inner_kernel_asymptotics(n).far_log_coefficient
-        assert alpha[0] == pytest.approx(far_log, rel=1e-15)
+        assert alpha[0] == pytest.approx(4.0 / (n - 1), rel=1e-15)
         assert beta[0] / alpha[0] == pytest.approx(far_offset(n), rel=1e-15)
 
 
@@ -359,10 +366,9 @@ def test_decay_envelope():
 
 
 def test_asymptotics_values():
-    assert inner_kernel_asymptotics(3) == KernelAsymptotics(1.0, 2.0)
-    a4 = inner_kernel_asymptotics(4)
-    assert a4.near_one_coefficient == pytest.approx(0.5, abs=1e-15)
-    assert a4.far_log_coefficient == pytest.approx(4.0 / 3.0, abs=1e-15)
-    a5 = inner_kernel_asymptotics(5)
-    assert a5.near_one_coefficient == pytest.approx(11.0 / 36.0, abs=1e-15)
-    assert a5.far_log_coefficient == pytest.approx(1.0, abs=1e-15)
+    # (b-1)^(n-2) m_n(b) tends to 2 H_(n-2) / ((n-1)(n-2)) as b -> 1:
+    # 1, 1/2 and 11/36 for n = 3, 4, 5, met at b = 1 + 1e-6 to 3.5e-12
+    b = 1.0 + 1e-6
+    for n, limit in ((3, 1.0), (4, 0.5), (5, 11.0 / 36.0)):
+        got = (b - 1.0) ** (n - 2) * inner_kernel(n, b)
+        assert got == pytest.approx(limit, rel=7e-12, abs=0)

@@ -145,8 +145,9 @@ def volume_bound(n: int, area: float) -> BoundResult:
     clamped into [1e-6, 1], as [x0/2, 2 x0], and widens by factors of 8
     down and 2 up until it straddles.  False position with the
     Anderson-Bjorck rule keeps the bracket, so no step leaves it; about
-    8 kernel calls pin t to 1e-15.  Kernel values are kept, so the
-    returned bound is the one computed at the returned crossing length.
+    8 kernel calls pin t to 1e-15.  Kernel values and h are kept, so the
+    bracket ends found while seeding cost nothing more, and the returned
+    bound is the one computed at the returned crossing length.
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
@@ -158,6 +159,7 @@ def volume_bound(n: int, area: float) -> BoundResult:
     def kernel(t: float) -> KernelValue:
         return volume_kernel(n, 2.0 * math.exp(t))
 
+    @cache
     def h(t: float) -> float:
         log_f = kernel(t).log_value
         return log_f - log_area - math.log(collar_volume_factor(n, math.exp(t)))

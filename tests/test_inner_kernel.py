@@ -118,6 +118,11 @@ def _reference_points():
         return json.load(fh)["points"]
 
 
+# ROADMAP item 3's near-one band: the closed form's truncated logs give nan
+# at these reference points, so the test pins that until the band is mended
+NEAR_ONE_BAND = {(100, 1.001)}
+
+
 @pytest.mark.parametrize("n", sorted({p["n"] for p in _reference_points()}))
 def test_matches_high_precision_reference(n):
     """Both branches against tests/data/inner_kernel_reference.json.
@@ -128,13 +133,19 @@ def test_matches_high_precision_reference(n):
     the series misses by 2.6e-15 to 3.1e-15 at n = 100 unless it puts
     back the rounding of 9/b^2.  Before the far-field series the closed
     form missed it by up to 4e-5 (n = 3, b = 1e12) and raised
-    OverflowError at (100, 1e3).
+    OverflowError at (100, 1e3).  A non-finite value fails, except in
+    NEAR_ONE_BAND, which fails once it turns finite.
     """
     worst = 0.0
     for p in _reference_points():
         if p["n"] == n:
+            got = inner_kernel(n, p["b"])
+            if (n, p["b"]) in NEAR_ONE_BAND:
+                assert not math.isfinite(got), f"near-one band mended at {p}: drop it"
+                continue
+            assert math.isfinite(got), p
             want = float(p["value"])
-            worst = max(worst, abs(inner_kernel(n, p["b"]) - want) / want)
+            worst = max(worst, abs(got - want) / want)
     assert worst <= 2e-15
 
 

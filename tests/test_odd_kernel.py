@@ -123,17 +123,42 @@ def test_odd_coefficients_correctly_rounded(n):
     assert _s_coefficients(n)[5] == []
 
 
-@pytest.mark.parametrize("n", (4, 6, 10, 20, 60, 100))
+@pytest.mark.parametrize("n", (401, 1000, 1001, 2000, 2001))
+def test_large_dimension_coefficients_correctly_rounded(n):
+    # P and Q's exact integers run to thousands of bits, and the least r_k
+    # round to subnormals or 0 from n = 1000; n = 400 is checked with T below
+    check_coefficients(n)
+
+
+@pytest.mark.parametrize("n", (4, 20, 60, 400))
+def test_even_table_evaluates_trigamma_once(n, monkeypatch):
+    # psi'(n-1+k) for every term comes from one asymptotic value by the
+    # recurrence psi'(j) = psi'(j+1) + 1/j^2
+    module = importlib.import_module("orthovol.volume_kernel")
+    trigamma, calls = module._trigamma, []
+    monkeypatch.setattr(module, "_trigamma", lambda j: calls.append(j) or trigamma(j))
+    _s_coefficients.cache_clear()
+    assert _s_coefficients(n)[5]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", (4, 6, 10, 20, 60, 100, 200, 400))
 def test_even_coefficients(n):
     # the first sum as for odd n, with n - 2 terms; the second sum's
     # v_k = W_k / 2^(n-2+k) correctly rounded, g_k, b_k and psi'(n-1+k)
     # within a few ulp of 40-digit values, and the bounds C_k on the rest
-    # positive and falling
+    # positive, each C_(k+1) + a_k with a_k from the stored psi'(n-1+k), and
+    # falling strictly unless a_k is below an ulp of C_k (from n = 200, where
+    # |W_k| grows by 10^30 along the table)
     check_coefficients(n)
     *_, coefs, terms, rest_0 = _s_coefficients(n)
     assert len(coefs) == n - 2
     rests = [rest_0] + [term[4] for term in terms]
-    assert all(a > b > 0.0 for a, b in zip(rests, rests[1:]))
+    assert rests[-1] > 0.0
+    for (v, g, b, psi, rest), prev in zip(terms, rests):
+        a = abs(v) * ((_SERIES_CUT - g) * (b + math.log(2.0)) + psi)
+        assert a > 0.0 and prev == rest + a
+        assert prev > rest or a < math.ulp(prev)
     fact = math.factorial
     w = Fraction((-1) ** (n // 2) * fact(n) * (n - 2),
                  2 ** (2 * n - 3) * fact(n // 2) * fact(n // 2 - 1) * (n - 1))

@@ -13,7 +13,6 @@ position.
 from __future__ import annotations
 
 import math
-from functools import cache
 from typing import NamedTuple
 
 from .quadrature import KernelValue, NonConvergenceError
@@ -154,15 +153,14 @@ def volume_bound(n: int, area: float) -> BoundResult:
     if not area > 0.0:
         raise ValueError("area must be positive")
     log_area = math.log(area)
+    # t -> (kernel at 2 e^t, h(t))
+    memo: dict[float, tuple[KernelValue, float]] = {}
 
-    @cache
-    def kernel(t: float) -> KernelValue:
-        return volume_kernel(n, 2.0 * math.exp(t))
-
-    @cache
     def h(t: float) -> float:
-        log_f = kernel(t).log_value
-        return log_f - log_area - math.log(collar_volume_factor(n, math.exp(t)))
+        if t not in memo:
+            kv = volume_kernel(n, 2.0 * math.exp(t))
+            memo[t] = kv, kv.log_value - log_area - math.log(collar_volume_factor(n, math.exp(t)))
+        return memo[t][1]
 
     t0 = (_small_length_constant(n)[1] + (2.0 - n) * _LOG2 - log_area) / (n - 1.0)
     t0 = min(max(t0, _LOG_SEED_LO), 0.0)
@@ -182,4 +180,4 @@ def volume_bound(n: int, area: float) -> BoundResult:
         raise NonConvergenceError(
             "collar crossing did not converge", math.exp(t_star), math.nan
         )
-    return BoundResult(math.exp(t_star), kernel(t_star).value)
+    return BoundResult(math.exp(t_star), memo[t_star][0].value)

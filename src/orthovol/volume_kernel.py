@@ -3,8 +3,9 @@
 Each orthogeodesic of length l of a hyperbolic n-manifold with totally
 geodesic boundary contributes a kernel value; the volume is their sum
 over the orthospectrum.  For n = 2 the kernel is a Rogers dilogarithm
-expression, for n >= 3 a series in s = 1 - e^(-2l), closed for odd n,
-which even n sums below l = ln 2 / 2 and a series in t = e^(-2l) above.
+expression.  For n >= 3 one table per dimension serves every length: a
+series in s = 1 - e^(-2l), closed for odd n, which even n sums below
+l = ln 2 / 2, and from there on Euler's series in t = e^(-2l).
 The inner kernel's integral, kept in two parametrizations as the tests'
 reference, never serves volume_kernel; it runs on scipy's QUADPACK
 through adaptive_quad, so only these two forms need the test extra.
@@ -174,105 +175,6 @@ def small_length_constant(n: int) -> float:
     return _small_length_constant(n)[0]
 
 
-@cache
-def _large_length_coefficient(n: int) -> tuple[float, float]:
-    """(coef_n, log coef_n) from _coef_rational, the log finite for every n >= 3."""
-    return _pi_rational(*_coef_rational(n))
-
-
-@cache
-def _series_coefficients(n: int) -> tuple[float, list[float], list[float]]:
-    """log coef_n and the coefficients g_K and e_K of the kernel's t-series.
-
-    With t = e^(-2l) and x = 2t, for even n >= 4,
-
-        F_n(l) = coef_n e^(-(n-1)l) sum_K x^K g_K (l + e_K),
-        g_K = a_K / (a_0 2^K),   e_K = c_n + d_K,   a_0 = coef_n,
-        a_(K+1) = a_K (K+n-1)(2K+n-1) / ((K+1)(2K+n+1)),
-        d_(K+1) = d_K + (n-3) / ((K+n-1)(2K+n+1)),   d_0 = 0,
-        c_n = H_((n-1)/2) = 2 (1 + 1/3 + ... + 1/(n-1)) - 2 log 2,
-
-    the kernel's form coef_n t^((n-1)/2) [(l + c_n) 2F1(n-1, (n-1)/2;
-    (n+1)/2; t) - d/ds 2F1(n-1+s, (n-1)/2; (n+1)/2+s; t) at s = 0] in t.
-    Every term is positive.  g_K, the term at t = 1/2 without (l + e_K),
-    is a correctly rounded ratio of exact integers (finite where a_K
-    overflows, n >= 300), e_K a compensated sum.  Terms are built until
-    the tail bound at the cut is below 2^-60 of the sum (at most 193 for
-    n <= 60); on 3000 lengths per n = 3..100 the sum meets its own stop
-    test at least 6 terms before the end.  Past n ~ 500 the sum at the
-    cut passes 2^500, where the stop tests' squares could overflow, and
-    this raises OverflowError.
-    """
-    e = math.fsum([2.0 / k for k in range(1, n, 2)] + [-2.0 * _LN2])
-    e_err = 0.0
-    num = den = 1  # a_K / a_0 = num / den, exact
-    gs: list[float] = []
-    es: list[float] = []
-    total = prev = 0.0
-    k = 0
-    while True:
-        gs.append(num / (den << k))
-        es.append(e + e_err)
-        term = gs[-1] * (_SERIES_CUT + es[-1])
-        total += term
-        if not total < 2.0**500:
-            raise OverflowError(f"t-series terms of F_{n} pass 2^500 at l = ln 2 / 2")
-        if term < prev and term * term <= _BUILD_TAIL * (prev - term) * total:
-            break
-        prev = term
-        step = (n - 3) / ((k + n - 1) * (2 * k + n + 1))
-        e, e_err = e + step, e_err + (step - ((e + step) - e))
-        num *= (k + n - 1) * (2 * k + n - 1)
-        den *= (k + 1) * (2 * k + n + 1)
-        k += 1
-    return _large_length_coefficient(n)[1], gs, es
-
-
-def _series_kernel(n: int, l: float) -> KernelValue:
-    """F_n(l) for even n >= 4 and l >= ln 2 / 2 from its t-series.
-
-    The term ratio falls toward t (checked in exact rationals for
-    n = 3..40, 60, 100; not proved), so the rest after a term with ratio
-    r < 1 is at most term r / (1 - r): the sum stops when that is below
-    2^-54 of it, or the terms run out, and that bound joins the estimate.
-    The value is exp(log coef_n - (n-1) l + log sum), so log_value stays
-    finite where F underflows.  The relative estimate counts, in eps, to
-    first order: 2K for the K terms (x^K by repeated products, the running
-    sum); n + |log coef_n| for log coef_n; 1.5 (n-1) l + |log coef_n| +
-    |log sum| for (n-1) l, log sum and the two additions; 8 for g_K, e_K,
-    l + e_K, the two products and exp; plus the tail bound and, for
-    subnormal results, an ulp.  It is at least 2.4 times the error on
-    tests/data/series_reference.json.
-    """
-    log_coef, gs, es = _series_coefficients(n)
-    x = 2.0 * math.exp(-2.0 * l)
-    it = zip(gs, es)
-    g, e = next(it)
-    total = term = g * (l + e)
-    power = 1.0
-    count = 1
-    for g, e in it:
-        prev = term
-        power *= x
-        term = power * g * (l + e)
-        total += term
-        count += 1
-        # term r <= 2^-54 (1 - r) total with r = term / prev < 1,
-        # multiplied through by prev
-        if term < prev and term * term <= _SERIES_TAIL * (prev - term) * total:
-            break
-    r = term / prev
-    tail = term * r / (1.0 - r) if r < 1.0 else math.inf
-    log_total = math.log(total)
-    log_value = log_coef - (n - 1) * l + log_total
-    value = math.exp(log_value)
-    rel = _EPS * (
-        2 * count + n + 1.5 * (n - 1) * l + 2.0 * abs(log_coef) + abs(log_total) + 8
-    ) + tail / total
-    err = math.ulp(value) + (rel * value if value else 0.0)
-    return KernelValue(value, err, log_value)
-
-
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
@@ -293,8 +195,8 @@ def _trigamma(j: int) -> float:
 
 
 @cache
-def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, float]:
-    """Constants and coefficients of the kernel's s-series, for every n >= 3.
+def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, float, list]:
+    """Constants and coefficients of the kernel's series, for every n >= 3.
 
     With s = 1 - e^(-2l), u = e^(-l), L = log s and H_k the harmonic
     numbers, Euler's transformation of the kernel's 2F1, DLMF 15.8.10 and
@@ -327,8 +229,26 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
     values for even n = 4..400, 1000, 2000), and each A_k is recomputed
     from it before the C_k are summed.
 
+    For even n from the cut on, the same S is Euler's form in t = 1 - s,
+
+        S = sum_K q_K t^K (l + e_K),   q_0 = 2(n-2) / (n-1),   e_0 = c_n,
+        q_(K+1) = q_K (3-n+2K) / (n+1+2K),
+        e_(K+1) = e_K - (n-1) / ((K+1)(n+1+2K)),
+
+    c_n = H_((n-1)/2) = 2 (1 + 1/3 + ... + 1/(n-1)) - 2 log 2, the steps
+    summing to c_n (partial fractions).  |q_K| falls and e_K falls to 0,
+    so each term is at most t times the one before and the rest after a
+    term at most t / (1 - t) times it: a proved bound.  q_K is a correctly
+    rounded ratio of exact integers, q_K e_K the product with a compensated
+    e_K (within e_0 eps).  Terms are built until the last at the cut is
+    below 2^-60 of the sum there (42 at n = 4, 18 at n = 20, 56 at
+    n = 2000).  There each term is at most half the one before, and for
+    K >= 2 term K over the first term falls with l, so _s_kernel's stop
+    test is met within the table at every l from the cut on.
+
     Returns (log c, c, l_max, x_max, [(r_k, r_k e_k)] from the top degree
-    down, [(v_k, g_k, b_k, psi'(n-1+k), C_(k+1))], C_0).  Where
+    down, [(v_k, g_k, b_k, psi'(n-1+k), C_(k+1))], C_0, [(q_K, q_K e_K)]),
+    the last two lists empty for odd n.  Where
     (n-1) l < l_max (n-1) = 700 + min(log c, 0) and x = u / s < x_max =
     e^(690/(n-2)), every factor and partial product of c S u x^(n-2) is
     normal: 1 <= S <= (350 + H_(n-2)) n, log c <= 1.2 and log c > -300
@@ -350,11 +270,14 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
             break
         coefs.append((rn / rd, (rn * en) / (rd * d)))
         en -= d // (k + 1)
-        rn *= n - 3 - 2 * k
-        rd *= 2 * (n - 3 - k)
+        # times (n-3-2k) / (2(n-3-k)), each factor cancelled against the
+        # other side first: the same rationals in far fewer bits
+        num, den = n - 3 - 2 * k, 2 * (n - 3 - k)
+        g, h = math.gcd(num, rd), math.gcd(den, rn)
+        rn, rd = rn // h * (num // g), rd // g * (den // h)
     coefs.reverse()
     if n % 2:
-        return log_c, c, l_max, x_max, coefs, [], 0.0
+        return log_c, c, l_max, x_max, coefs, [], 0.0, []
     # the sum at the cut: l P + Q, then the terms of T at L = -log 2
     total = 0.0
     for r, e in coefs:
@@ -395,16 +318,37 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
     rest = terms[-1][4] * r / (1.0 - r)
     for term in reversed(terms):
         term[4], rest = rest, rest + term[4]
-    return log_c, c, l_max, x_max, coefs, [tuple(term) for term in terms], rest
+    # the t-series' q_K = num / den and q_K e_K, its sum at the cut (t = 1/2)
+    num, den = 2 * (n - 2), n - 1
+    e = math.fsum([2.0 / j for j in range(1, n, 2)] + [-2.0 * _LN2])
+    e_err = total = 0.0
+    t_terms, k = [], 0
+    while True:
+        q, ek = num / den, e + e_err
+        t_terms.append((q, q * ek))
+        term = math.ldexp(q * (_SERIES_CUT + ek), -k)
+        total += term
+        if abs(term) <= _BUILD_TAIL * total:
+            break
+        step = (1 - n) / ((k + 1) * (n + 1 + 2 * k))
+        e, e_err = e + step, e_err + (step - ((e + step) - e))
+        num *= 3 - n + 2 * k
+        den *= n + 1 + 2 * k
+        k += 1
+    return log_c, c, l_max, x_max, coefs, [tuple(term) for term in terms], rest, t_terms
 
 
 def _s_kernel(n: int, l: float) -> KernelValue:
-    """F_n(l) from the s-series: odd n >= 3 at every l, even n below ln 2 / 2.
+    """F_n(l) = c u^(n-1) s^(2-n) S for n >= 3 from _s_coefficients' table.
 
-    Sums _s_coefficients' form at s = -expm1(-2l): P and Q by Horner's
-    rule, for even n also l P + Q on |coefficients| and T term by term in
-    y = 2s until the bound on its rest, which joins the estimate, is below
-    2^-54 of l P + Q.  Off the linear scale the value is exp(log c -
+    Below ln 2 / 2, and for odd n at every l, S is the s-series at
+    s = -expm1(-2l): P and Q by Horner's rule, for even n also l P + Q on
+    |coefficients| and T term by term in y = 2s until the bound on its
+    rest, which joins the estimate, is below 2^-54 of l P + Q.  Even n
+    from there on sums S / l = sum_K t^K (q_K + q_K e_K / l), t = e^(-2l),
+    and its |terms| until the bound on the rest, t / s times the last
+    |term|, is below 2^-54 of the |terms| summed; it joins the estimate
+    too.  Off the linear scale the value is exp(log c -
     (n-1) l - (n-2) log s + log S), 0 or inf only where F under- or
     overflows; log_value holds F (-inf only past l = max double / (n-1)).
 
@@ -418,6 +362,11 @@ def _s_kernel(n: int, l: float) -> KernelValue:
       for y^(n-2+k), pow then k products; 1.5 for l + g_k; 4 for L + b_k,
       |L| >= log 2; 1 for their product; 2.5 for psi' and the difference;
       1 for v_k and its product).  Odd n has A = S, K = B = 0: poly = n;
+    - t-series, poly = (2K + 1 + q_0 e_0 / l) A / S, A = sum |terms|, K
+      terms: term k within 1.5k + 2.5 (t^k from k - 1 products of t, within
+      1; q_k, 1/l, q_k e_k, the quotient, the sum and the product), e_k
+      within e_0 eps, so within q_0 e_0 / l of l + e_k, K - 1 additions
+      within (K-1)/2 of A, l times S / l within 1/2;
     - linear scale, 3n + 3 + poly: 1 for u, 2.5 (n-2) + 1 for x^(n-2) (x
       within 2.5), 0.1 n + 2 for c (pi^p, p < n/2), 1.5 for the products;
     - log scale, 4n + 2 + poly + 5S', S' = |log c| + (n-1) l +
@@ -427,32 +376,51 @@ def _s_kernel(n: int, l: float) -> KernelValue:
       three additions, 1 for exp;
     plus the tail bound over S, and an ulp for subnormal results.
     """
-    log_c, c, l_max, x_max, coefs, terms, rest_0 = _s_coefficients(n)
+    log_c, c, l_max, x_max, coefs, terms, rest_0, t_terms = _s_coefficients(n)
     s = -math.expm1(-2.0 * l)
-    p = q = 0.0
-    for r, e in coefs:
-        p = p * s + r
-        q = q * s + e
-    total = l * p + q
-    # odd n: every coefficient is positive, so A = S and T is empty
-    poly, tail = n, 0.0
-    if terms:
-        first = 0.0
-        for r, e in coefs:
-            first = first * s + l * abs(r) + abs(e)
-        log_s = math.log(s)
-        lam = log_s / -_LN2
-        y = 2.0 * s
-        power = y ** (n - 2)
-        second = lam * power * rest_0
-        limit = _SERIES_TAIL * total / lam
-        for count, (v, g, b, psi, rest) in enumerate(terms, 1):
-            total += v * power * ((l + g) * (log_s + b) - psi)
-            power *= y
-            if power * rest <= limit:
+    if l >= _SERIES_CUT and not n % 2:
+        # S / l stands as P with Q = 0, which the log scale reads past l = 1
+        t = math.exp(-2.0 * l)
+        il = 1.0 / l
+        limit = _SERIES_TAIL * s
+        p = q = first = 0.0
+        power = 1.0
+        for count, (r, e) in enumerate(t_terms, 1):
+            a = power * (r + e * il)
+            p += a
+            a = abs(a)
+            first += a
+            if a * t <= limit * first:
                 break
-        tail = lam * power * rest / total
-        poly = ((2 * len(coefs) + 1 + count) * first + (n + 3 * count + 10) * second) / total
+            power *= t
+        total = l * p
+        tail = a * t / (s * p)
+        poly = (2 * count + 1 + t_terms[0][1] * il) * first / p
+    else:
+        p = q = 0.0
+        for r, e in coefs:
+            p = p * s + r
+            q = q * s + e
+        total = l * p + q
+        # odd n: every coefficient is positive, so A = S and T is empty
+        poly, tail = n, 0.0
+        if terms:
+            first = 0.0
+            for r, e in coefs:
+                first = first * s + l * abs(r) + abs(e)
+            log_s = math.log(s)
+            lam = log_s / -_LN2
+            y = 2.0 * s
+            power = y ** (n - 2)
+            second = lam * power * rest_0
+            limit = _SERIES_TAIL * total / lam
+            for count, (v, g, b, psi, rest) in enumerate(terms, 1):
+                total += v * power * ((l + g) * (log_s + b) - psi)
+                power *= y
+                if power * rest <= limit:
+                    break
+            tail = lam * power * rest / total
+            poly = ((2 * len(coefs) + 1 + count) * first + (n + 3 * count + 10) * second) / total
     if l < l_max:
         u = math.exp(-l)
         x = u / s
@@ -475,15 +443,14 @@ def _s_kernel(n: int, l: float) -> KernelValue:
 def volume_kernel(n: int, l: float) -> KernelValue:
     """Volume kernel for any dimension n >= 2.
 
-    n = 2 is the closed form with zero error estimate.  Odd n >= 3, and
-    even n below l = ln 2 / 2, sum the s-series (_s_kernel), even n from
-    there on the t-series (_series_kernel), with a relative estimate of a
-    few eps times n, the term count or (n-1) l; value is 0 or inf only
-    where F under- or overflows, and log_value holds F there."""
+    n = 2 is the closed form with zero error estimate.  Every n >= 3 sums
+    its dimension's one table (_s_kernel): odd n the s-series at every
+    length, even n the s-series below l = ln 2 / 2 and the t-series from
+    there on, with a relative estimate of a few eps times n, the term
+    count or (n-1) l; value is 0 or inf only where F under- or overflows,
+    and log_value holds F there."""
     _check_kernel_args(n, l, least_n=2)
     if n == 2:
         value = surface_kernel(l)
         return KernelValue(value, 0.0, _log_of(value))
-    if n % 2 or l < _SERIES_CUT:
-        return _s_kernel(n, l)
-    return _series_kernel(n, l)
+    return _s_kernel(n, l)

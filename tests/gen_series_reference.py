@@ -1,7 +1,7 @@
 """High-precision reference values of the volume kernel F_n.
 
-Two tables: every n in 3..100 for l >= ln 2 / 2 (where even n sums the
-t-series), and odd and even n below ln 2 / 2 (where every n sums the
+Two tables: n = 3..100, 400, 500, 1000 and 2000 for l >= ln 2 / 2 (where
+even n sums the t-series), and odd and even n below ln 2 / 2 (where every n sums the
 s-series in s = 1 - e^(-2l)).  Both evaluate the
 Gauss hypergeometric form of the kernel in mpmath, with exact coefficients:
 
@@ -25,7 +25,7 @@ there.  Writes ``tests/data/series_reference.json`` and
     python tests/gen_series_reference.py           # write the files
     python tests/gen_series_reference.py --check   # recompute and diff
 
-Needs mpmath (the ``test`` extra).  A run takes about thirty seconds.
+Needs mpmath (the ``test`` extra).  A run takes about forty seconds.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from gen_inner_reference import closed_form as inner_kernel
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 PATH = os.path.join(DATA, "series_reference.json")
 S_PATH = os.path.join(DATA, "s_series_reference.json")
-DIMENSIONS = (3, 4, 5, 6, 7, 8, 10, 13, 16, 20, 25, 30, 40, 50, 60, 80, 100)
+DIMENSIONS = (3, 4, 5, 6, 7, 8, 10, 13, 16, 20, 25, 30, 40, 50, 60, 80, 100,
+              400, 500, 1000, 2000)
 # the first length is the double nearest ln 2 / 2, where the series starts
 LENGTHS = (0.5 * math.log(2.0), 0.35, 0.4, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0,
            8.0, 12.0, 20.0, 30.0, 50.0, 100.0, 200.0, 354.0, 400.0, 700.0,

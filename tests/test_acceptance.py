@@ -30,7 +30,8 @@ from orthovol import (
 )
 from orthovol.inner_kernel import _far_field_coefficients
 from orthovol.volume_kernel import (
-    _large_length_coefficient,
+    _coef_rational,
+    _pi_rational,
     volume_kernel_alt,
     volume_kernel_radial,
 )
@@ -155,7 +156,7 @@ def test_c08_large_length_law():
     for n, c in LARGE_LENGTH_OFFSET_TABLE:
         kv = volume_kernel(n, 8.0)
         scaled = math.exp((n - 1) * 8.0) / 8.0 * kv.value
-        want = _large_length_coefficient(n)[0] * (1.0 + c / 8.0)
+        want = _pi_rational(*_coef_rational(n))[0] * (1.0 + c / 8.0)
         assert scaled == pytest.approx(want, rel=1e-5)
 
 
@@ -163,7 +164,7 @@ def test_c08_large_length_trend():
     # dev(l) = |scaled/coef - 1| behaves as c_n/l: doubling l halves it
     # to five decimal places.
     for n in (3, 4, 5):
-        coef = _large_length_coefficient(n)[0]
+        coef = _pi_rational(*_coef_rational(n))[0]
         devs = []
         for l in (8.0, 16.0):
             kv = volume_kernel(n, l)

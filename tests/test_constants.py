@@ -15,7 +15,8 @@ import pytest
 
 from orthovol import small_length_constant
 from orthovol.volume_kernel import (
-    _large_length_coefficient,
+    _coef_rational,
+    _pi_rational,
     _shape_factor,
     _small_length_constant,
 )
@@ -79,7 +80,7 @@ def test_small_length_constant_matches_gamma_form(n):
 def test_large_length_coefficient_matches_gamma_form(n):
     with mp.workdps(40):
         ref = _large_length_mp(n)
-        value, log_value = _large_length_coefficient(n)
+        value, log_value = _pi_rational(*_coef_rational(n))
         _check_value(value, ref)
         _check_log(log_value, ref)
 

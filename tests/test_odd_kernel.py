@@ -120,7 +120,7 @@ def test_odd_coefficients_correctly_rounded(n):
     check_coefficients(n)
     assert len(_s_coefficients(n)[4]) == (n - 1) // 2
     assert all(r > 0.0 and q > 0.0 for r, q in _s_coefficients(n)[4])
-    assert _s_coefficients(n)[5] == []
+    assert _s_coefficients(n)[5] == [] and _s_coefficients(n)[7] == []
 
 
 @pytest.mark.parametrize("n", (401, 1000, 1001, 2000, 2001))
@@ -151,7 +151,7 @@ def test_even_coefficients(n):
     # falling strictly unless a_k is below an ulp of C_k (from n = 200, where
     # |W_k| grows by 10^30 along the table)
     check_coefficients(n)
-    *_, coefs, terms, rest_0 = _s_coefficients(n)
+    coefs, terms, rest_0 = _s_coefficients(n)[4:7]
     assert len(coefs) == n - 2
     rests = [rest_0] + [term[4] for term in terms]
     assert rests[-1] > 0.0
@@ -195,11 +195,15 @@ def test_odd_never_integrates(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("volume_kernel left the closed form")
 
+    class Unread:
+        __iter__ = fail
+
     # the package attribute volume_kernel is the function, not the module
     module = importlib.import_module("orthovol.volume_kernel")
-    for name in ("inner_kernel", "adaptive_quad", "volume_kernel_radial",
-                 "_series_kernel"):
+    for name in ("inner_kernel", "adaptive_quad", "volume_kernel_radial"):
         monkeypatch.setattr(module, name, fail)
+    # every table's t-series terms raise when read
+    monkeypatch.setattr(module, "_s_coefficients", lambda n: _s_coefficients(n)[:7] + (Unread(),))
     for n in range(3, 100, 2):
         for l in LENGTHS:
             check_sane(volume_kernel(n, l), n, l)

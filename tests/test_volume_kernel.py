@@ -23,7 +23,8 @@ from orthovol import (
 from orthovol.quadrature import _ABS_TOL, _REL_TOL
 from orthovol.volume_kernel import (
     _SERIES_CUT,
-    _large_length_coefficient,
+    _coef_rational,
+    _pi_rational,
     volume_kernel_alt,
     volume_kernel_radial,
 )
@@ -173,8 +174,8 @@ def test_surface_kernel_strictly_decreasing():
 
 
 def test_large_length_coefficients():
-    assert _large_length_coefficient(3)[0] == pytest.approx(math.pi, rel=1e-14)
-    assert _large_length_coefficient(4)[0] == pytest.approx(32.0 / 9.0, rel=1e-14)
+    assert _pi_rational(*_coef_rational(3))[0] == pytest.approx(math.pi, rel=1e-14)
+    assert _pi_rational(*_coef_rational(4))[0] == pytest.approx(32.0 / 9.0, rel=1e-14)
 
 
 def test_small_length_band_dimension_three():
@@ -184,7 +185,7 @@ def test_small_length_band_dimension_three():
         assert 0.95 <= ratio <= 1.05
 
 
-def test_dispatcher_routes():
+def test_dispatcher_routes(monkeypatch):
     # Dimension 2 uses the closed form (no quadrature error).  Below
     # l = ln 2 / 2 dimension 4 is the s-series, from there on the
     # t-series; odd dimensions take the s-series at every length.  Each
@@ -192,7 +193,8 @@ def test_dispatcher_routes():
     # l = 0.1 on (below that the quadrature's estimate is no bound: at
     # (8, 1e-3) it is 5 times short; the 40-digit tables of
     # test_odd_kernel.py cover small l), and the even dimensions are
-    # continuous across the cut within them.
+    # continuous across the cut within them, where the t-series alone
+    # serves the cut.
     module = importlib.import_module("orthovol.volume_kernel")
     kv2 = volume_kernel(2, 1.0)
     assert kv2.value == surface_kernel(1.0)
@@ -208,11 +210,26 @@ def test_dispatcher_routes():
             assert abs(series.value - radial.value) <= (
                 series.err_estimate + radial.err_estimate
             )
+
+    def fail(*args, **kwargs):
+        raise AssertionError("volume_kernel read the s-series")
+
+    class Unread:
+        __iter__ = fail
+
+    table = module._s_coefficients
+    sides = {}
     for n in (4, 6, 8, 20, 60, 100):
-        left, right = volume_kernel(n, below), volume_kernel(n, _SERIES_CUT)
-        assert right == module._series_kernel(n, _SERIES_CUT)
+        left, right = sides[n] = volume_kernel(n, below), volume_kernel(n, _SERIES_CUT)
         assert abs(left.value - right.value) <= left.err_estimate + right.err_estimate
         assert right.value <= left.value + left.err_estimate + right.err_estimate
+    # P, Q and T raise when read: the cut still returns, just below fails
+    monkeypatch.setattr(module, "_s_coefficients",
+                        lambda n: table(n)[:4] + (Unread(), Unread()) + table(n)[6:])
+    for n, (_, right) in sides.items():
+        assert volume_kernel(n, _SERIES_CUT) == right
+        with pytest.raises(AssertionError, match="read the s-series"):
+            volume_kernel(n, below)
 
 
 @pytest.mark.parametrize(

@@ -6,13 +6,16 @@ twice the half-width caps how much volume a single orthogeodesic can
 certify, and the crossing point of the two curves yields a volume
 bound depending only on dimension and boundary area, with a power-law
 floor A^((n-2)/(n-1)) up to a computable constant.  The crossing is the
-one root of a decreasing function of log x, found by bracketed false
-position.
+one root of a decreasing function of log x.  It is seeded at the
+small-length crossing, bracketed by one step proved to reach or pass the
+root, and found by bracketed false position.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from functools import cache
 from typing import NamedTuple
 
 from .quadrature import KernelValue, NonConvergenceError
@@ -21,11 +24,11 @@ from .volume_kernel import _small_length_constant, volume_kernel
 __all__ = ["collar_volume_factor", "power_law_floor", "volume_bound", "BoundResult"]
 
 _LOG2 = math.log(2.0)
-_LOG8 = math.log(8.0)
-# seed range of the crossing and hard limits of the bracket, in t = log x
-_LOG_SEED_LO = math.log(1e-6)
+# hard limits of the bracket, in t = log x
 _LOG_BRACKET_LO = math.log(1e-300)
 _LOG_BRACKET_HI = math.log(50.0)
+# the collar factor's expm1((n-1) x) overflows once (n-1) x passes this
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 # absolute tolerance on t (relative on x) and the least rtol, 4 eps
 _T_TOL = 1e-15
 _T_RTOL = 8.9e-16
@@ -66,29 +69,37 @@ def _false_position(f, a, b, xtol, rtol):
     return (a if abs(fa) < abs(fb) else b), False
 
 
+@cache
+def _collar_weights(n: int) -> tuple[tuple[float, int], ...]:
+    """((C(n-1, j) / 2^(n-1), n-1-2j) for j = 0..n-1), each weight correctly rounded."""
+    m = n - 1
+    den = 1 << m
+    weights = []
+    comb = 1
+    for j in range(m + 1):
+        weights.append((comb / den, m - 2 * j))
+        comb = comb * (m - j) // (j + 1)
+    return tuple(weights)
+
+
 def collar_volume_factor(n: int, r: float) -> float:
     """int_0^r cosh(t)^(n-1) dt, the volume factor of a collar of width r.
 
     Binomial expansion of cosh^(n-1) integrates term by term to
     2^(1-n) sum_j C(n-1, j) expm1((n-1-2j) r) / (n-1-2j), the middle
     term degenerating to r when n is odd.  Each weight C(n-1, j) / 2^(n-1)
-    is one correctly rounded quotient of exact integers, so neither
-    C(n-1, j) nor 2^(n-1) has to be a double: the sum is finite wherever
-    the factor is, except that expm1 raises OverflowError once (n-1) r
-    passes 709.78.
+    is one correctly rounded quotient of exact integers, built once per
+    dimension, so neither C(n-1, j) nor 2^(n-1) has to be a double: the
+    sum is finite wherever the factor is, except that expm1 raises
+    OverflowError once (n-1) r passes 709.78.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
     if r < 0.0:
         raise ValueError("width must be >= 0")
-    m = n - 1
-    den = 1 << m
     total = 0.0
-    comb = 1
-    for j in range(m + 1):
-        e = m - 2 * j
-        total += comb / den * (r if e == 0 else math.expm1(e * r) / e)
-        comb = comb * (m - j) // (j + 1)
+    for w, e in _collar_weights(n):
+        total += w * (r if e == 0 else math.expm1(e * r) / e)
     return total
 
 
@@ -136,17 +147,28 @@ def volume_bound(n: int, area: float) -> BoundResult:
     t = log x, with log kernel read from the kernel's log_value, finite
     where the value under- or overflows.  The left side falls from +inf
     at 0 and the right side grows from 0, so h is strictly decreasing
-    and the crossing is unique.  Near 0 the kernel is K_n (2x)^(2-n) and
-    the collar factor x, so h is almost linear with slope -(n-1), and
-    the raw gap's span of hundreds of orders of magnitude, where secant
-    steps on the difference overshoot, is gone.  The bracket is seeded
-    at that small-length crossing, x0 = (K_n 2^(2-n) / area)^(1/(n-1))
-    clamped into [1e-6, 1], as [x0/2, 2 x0], and widens by factors of 8
-    down and 2 up until it straddles.  False position with the
-    Anderson-Bjorck rule keeps the bracket, so no step leaves it; about
-    8 kernel calls pin t to 1e-15.  Kernel values and h are kept, so the
-    bracket ends found while seeding cost nothing more, and the returned
-    bound is the one computed at the returned crossing length.
+    and the crossing is unique.
+
+    The seed is the small-length crossing x0 = (K_n 2^(2-n) / area)^(1/(n-1)),
+    where K_n (2x)^(2-n) meets area * x, clamped into [1e-300, 1].  One
+    step t1 = t0 + h(t0) / (n-1) from it lands at or past the root, on
+    either side: G(l) = l^(n-2) F_n(l) never increases from K_n (for
+    n = 3 it is pi l (1 + l) / (e^(2l) - 1)) and x <=
+    collar_volume_factor(x) <= x cosh^(n-1)(x), so h' <= -(n-1), and an
+    unclamped seed lies at or above the root.  The step is at least the
+    solve tolerance, so a residual at rounding level still moves it, and
+    is clamped to widths [1e-300, 50].  Far from the root h falls about
+    3 (n-1) x per unit t, so the step can overshoot by far; from n = 16
+    the upper clamp also stays below the width where (n-1) x reaches
+    log(DBL_MAX) and the collar factor overflows, which no root reaches:
+    there area = kernel / collar lies far below the least double.  Should
+    rounding leave h with one sign at both points, the step repeats from
+    the new one, and a step that cannot leave a limit raises
+    NonConvergenceError.  False position with the Anderson-Bjorck rule
+    then keeps the bracket, so no step leaves it; about 6 kernel calls,
+    the two bracket ends among them, pin t to 1e-15.
+    Kernel values and h are kept, so the returned bound is the one
+    computed at the returned crossing length.
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
@@ -158,23 +180,30 @@ def volume_bound(n: int, area: float) -> BoundResult:
 
     def h(t: float) -> float:
         if t not in memo:
-            kv = volume_kernel(n, 2.0 * math.exp(t))
-            memo[t] = kv, kv.log_value - log_area - math.log(collar_volume_factor(n, math.exp(t)))
+            x = math.exp(t)
+            kv = volume_kernel(n, 2.0 * x)
+            memo[t] = kv, kv.log_value - log_area - math.log(collar_volume_factor(n, x))
         return memo[t][1]
 
-    t0 = (_small_length_constant(n)[1] + (2.0 - n) * _LOG2 - log_area) / (n - 1.0)
-    t0 = min(max(t0, _LOG_SEED_LO), 0.0)
-    lo, hi = t0 - _LOG2, t0 + _LOG2
-    while h(lo) <= 0.0:
-        lo -= _LOG8
-        if lo < _LOG_BRACKET_LO:
-            msg = "could not bracket the collar crossing from below"
-            raise NonConvergenceError(msg, math.nan, math.nan)
-    while h(hi) > 0.0:
-        hi += _LOG2
-        if hi > _LOG_BRACKET_HI:
-            msg = "could not bracket the collar crossing below width 50"
-            raise NonConvergenceError(msg, math.nan, math.nan)
+    # widest half-width: 50, or a solve tolerance inside the overflow of
+    # the collar factor, which no root reaches for a double area
+    t_hi = min(_LOG_BRACKET_HI, math.log(_LOG_DBL_MAX / (n - 1.0)) - _T_TOL)
+    t = (_small_length_constant(n)[1] + (2.0 - n) * _LOG2 - log_area) / (n - 1.0)
+    t = min(max(t, _LOG_BRACKET_LO), 0.0)
+    ht = h(t)
+    while True:
+        tol = _T_TOL + _T_RTOL * abs(t)
+        step = max(ht / (n - 1.0), tol) if ht > 0.0 else min(ht / (n - 1.0), -tol)
+        t1 = min(max(t + step, _LOG_BRACKET_LO), t_hi)
+        if t1 == t:
+            where = "below width 50" if ht > 0.0 else "from below"
+            raise NonConvergenceError(
+                f"could not bracket the collar crossing {where}", math.nan, math.nan
+            )
+        if (h(t1) > 0.0) != (ht > 0.0):
+            break
+        t, ht = t1, h(t1)
+    lo, hi = (t, t1) if ht > 0.0 else (t1, t)
     t_star, converged = _false_position(h, lo, hi, _T_TOL, _T_RTOL)
     if not converged:
         raise NonConvergenceError(

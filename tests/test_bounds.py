@@ -1,9 +1,14 @@
 """Tests for the collar volume factor and the area-to-volume bound."""
 
 import math
+import random
+import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from orthovol import (
@@ -14,6 +19,10 @@ from orthovol import (
     volume_bound,
     volume_kernel,
 )
+from orthovol.bounds import _LOG_BRACKET_HI, _LOG_BRACKET_LO, _collar_weights
+from orthovol.volume_kernel import _small_length_constant
+
+EPS = sys.float_info.epsilon
 
 
 def test_collar_factor_at_zero():
@@ -80,6 +89,44 @@ def test_collar_factor_validation():
         collar_volume_factor(3, -0.1)
 
 
+@pytest.mark.parametrize("n", [*range(2, 13), 60, 601, 2001])
+def test_collar_weights_are_correctly_rounded(n):
+    # each cached weight is the double nearest C(n-1, j) / 2^(n-1), and
+    # comes with its exponent n-1-2j
+    m = n - 1
+    weights = _collar_weights(n)
+    assert [e for _, e in weights] == [m - 2 * j for j in range(m + 1)]
+    for j, (w, _) in enumerate(weights):
+        q = Fraction(math.comb(m, j), 2 ** m)
+        err = abs(Fraction(w) - q)
+        assert err <= abs(Fraction(math.nextafter(w, math.inf)) - q)
+        assert err <= abs(Fraction(math.nextafter(w, -math.inf)) - q)
+
+
+def _collar_by_big_integers(n, r):
+    # the factor as summed before its weights were cached: each weight
+    # divided out of exact integers inside the sum
+    m = n - 1
+    den = 1 << m
+    total = 0.0
+    comb = 1
+    for j in range(m + 1):
+        e = m - 2 * j
+        total += comb / den * (r if e == 0 else math.expm1(e * r) / e)
+        comb = comb * (m - j) // (j + 1)
+    return total
+
+
+@pytest.mark.parametrize(
+    "n,r",
+    [(n, r) for n in range(2, 9) for r in (0.0, 0.1, 0.5, 1.0, 2.0, 4.0)]
+    + [(n, r) for n in (639, 1001, 1025, 2001) for r in (1e-3, 0.05, 0.3)]
+    + [(639, 1.0)],
+)
+def test_collar_factor_bit_identical_to_the_big_integer_sum(n, r):
+    assert collar_volume_factor(n, r) == _collar_by_big_integers(n, r)
+
+
 def test_power_law_floor_values():
     # (K_3 * 4 pi / 2)^(1/2) collapses to pi exactly
     assert power_law_floor(3, 4.0 * math.pi) == pytest.approx(math.pi, rel=1e-12)
@@ -133,11 +180,8 @@ def test_volume_bound_crossing_residual(n, area):
     assert res.bound == pytest.approx(left, rel=1e-12)
 
 
-@pytest.mark.parametrize("n,area", [(3, 4.0 * math.pi), (4, 10.0), (5, 100.0)])
-def test_volume_bound_kernel_calls(n, area, monkeypatch):
-    # False position in log-log coordinates, seeded at the small-length
-    # crossing, needs about 8 kernel calls, each one new; a 60-step
-    # bisection on the raw gap needed 63.
+def _counting(monkeypatch):
+    """Lengths of the kernel calls volume_bound makes, in order."""
     calls = []
 
     def counting_kernel(dim, l):
@@ -145,10 +189,88 @@ def test_volume_bound_kernel_calls(n, area, monkeypatch):
         return volume_kernel(dim, l)
 
     monkeypatch.setattr("orthovol.bounds.volume_kernel", counting_kernel)
+    return calls
+
+
+@pytest.mark.parametrize("n,area", [(3, 4.0 * math.pi), (4, 10.0), (5, 100.0)])
+def test_volume_bound_kernel_calls(n, area, monkeypatch):
+    # False position in log-log coordinates, on the bracket of the seed and
+    # one step from it: 7, 7 and 6 calls, each one new.
+    calls = _counting(monkeypatch)
     res = volume_bound(n, area)
-    assert len(calls) <= 12
+    assert len(calls) <= {3: 7, 4: 7, 5: 6}[n]
     assert len(set(calls)) == len(calls)
     assert 2.0 * res.crossing_length in calls
+
+
+def test_volume_bound_kernel_calls_over_a_pool(monkeypatch):
+    # n = 3..6 with 12 log-uniform areas on [1, 1000] each: 6.25 calls per
+    # solve, each one new
+    rng = random.Random(26)
+    calls = _counting(monkeypatch)
+    total = 0
+    pool = [(n, math.exp(rng.uniform(0.0, math.log(1e3)))) for n in range(3, 7) for _ in range(12)]
+    for n, area in pool:
+        calls.clear()
+        volume_bound(n, area)
+        assert len(set(calls)) == len(calls)
+        total += len(calls)
+    assert total / len(pool) <= 6.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(3, 2001),
+    log_l=st.lists(st.floats(math.log(1e-12), math.log(1e3)), min_size=2, max_size=2),
+)
+def test_small_length_law_never_rises(n, log_l):
+    # The bracket step's premise: G(l) = l^(n-2) F_n(l) is non-increasing
+    # and at most its limit K_n at 0, in logs, within the kernel's relative
+    # estimate plus 4 eps of the size of the logs summed
+    def log_g(l):
+        kv = volume_kernel(n, l)
+        rel = kv.err_estimate / kv.value if sys.float_info.min <= kv.value < math.inf else 0.0
+        size = max(1.0, (n - 1) * l, abs(kv.log_value), (n - 2) * abs(math.log(l)))
+        return kv.log_value + (n - 2) * math.log(l), rel + 4.0 * EPS * size
+
+    l1, l2 = sorted(math.exp(t) for t in log_l)
+    g1, tol1 = log_g(l1)
+    g2, tol2 = log_g(l2)
+    log_k = _small_length_constant(n)[1]
+    assert g2 <= g1 + tol1 + tol2
+    assert g1 <= log_k + tol1 + 4.0 * EPS * max(1.0, abs(log_k))
+
+
+@pytest.mark.parametrize("n", [20, 60, 100, 400])
+@pytest.mark.parametrize("area", [1e-60, 1e-100, 1e-300, 5e-324])
+def test_volume_bound_tiny_areas_in_high_dimension(n, area):
+    # Far from the root, h falls about 3 (n-1) x per unit of log x, not
+    # n-1, so a step from a seed clamped to x = 1 overshoots the root by
+    # far.  It must stop short of where expm1((n-1) x) in the collar factor
+    # overflows, which is below width 50 from n = 16.  The crossing then
+    # satisfies the equation in logs to the rounding of log area.
+    res = volume_bound(n, area)
+    x = res.crossing_length
+    kv = volume_kernel(n, 2.0 * x)
+    residual = kv.log_value - math.log(area) - math.log(collar_volume_factor(n, x))
+    assert abs(residual) <= 8.0 * EPS * abs(math.log(area))
+    assert res.bound == kv.value > 0.0
+
+
+def test_volume_bound_first_step_brackets(monkeypatch):
+    # Every solve on the grid returns, and the seed and the one step from
+    # it straddle the crossing wherever the step is not clamped to widths
+    # [1e-300, 50].
+    calls = _counting(monkeypatch)
+    limits = (2.0 * math.exp(_LOG_BRACKET_LO), 2.0 * math.exp(_LOG_BRACKET_HI))
+    for n in (3, 4, 5, 6, 7, 8, 20, 60, 400, 2001):
+        for k in range(-30, 31):
+            calls.clear()
+            res = volume_bound(n, 10.0 ** k)
+            l_star = 2.0 * res.crossing_length
+            assert res.bound > 0.0
+            if calls[1] not in limits:
+                assert (calls[0] - l_star) * (calls[1] - l_star) <= 0.0, (n, k)
 
 
 @pytest.mark.parametrize(
@@ -181,21 +303,27 @@ def test_false_position_on_a_bracket(f, lo, hi, root, max_calls):
     assert len(calls) <= max_calls
 
 
-@pytest.mark.parametrize("area", [1e-2, 1.0, 4.0 * math.pi, 1e4, 1e8, 1e12])
+@pytest.mark.parametrize(
+    "area",
+    [1e-2, 1.0, 4.0 * math.pi, 1e4, 1e8, 1e12, 1e-60, 1e-70, 1e-80, 1e-90, 1e-100, 1e-110],
+)
 def test_volume_bound_matches_the_n3_oracle(area):
     # F_3(2x) = pi (1 + 2x) / (e^(4x) - 1) and C_3(x) = x/2 + sinh(2x)/4 are
-    # elementary, so the crossing is a 40-digit root with no quadrature
+    # elementary, so the crossing is a 60-digit root with no quadrature.
+    # Compared in logs: from A = 1e-60 the crossing lies at x = 24..44, the
+    # bound below 1e-40.  log F_3(2x) has slope about -4x in log x, so the
+    # bound's log carries 4x times the crossing's few eps.
     res = volume_bound(3, area)
-    with mpmath.workdps(40):
+    with mpmath.workdps(60):
         a = mpmath.mpf(area)
         x = mpmath.findroot(
-            lambda x: mpmath.pi * (1 + 2 * x) / mpmath.expm1(4 * x)
-            - a * (x / 2 + mpmath.sinh(2 * x) / 4),
+            lambda x: mpmath.log(mpmath.pi * (1 + 2 * x) / mpmath.expm1(4 * x))
+            - mpmath.log(a * (x / 2 + mpmath.sinh(2 * x) / 4)),
             res.crossing_length,
         )
-        bound = mpmath.pi * (1 + 2 * x) / mpmath.expm1(4 * x)
-        assert abs(res.crossing_length - x) <= 1e-14 * x
-        assert abs(res.bound - bound) <= 1e-14 * bound
+        log_bound = mpmath.log(mpmath.pi * (1 + 2 * x) / mpmath.expm1(4 * x))
+        assert abs(math.log(res.crossing_length) - mpmath.log(x)) <= 1e-14
+        assert abs(math.log(res.bound) - log_bound) <= max(1e-14, 24.0 * EPS * x)
 
 
 # (n, area, crossing_length, bound) from 25-digit mpmath solves of the
@@ -286,4 +414,11 @@ def test_volume_bound_validation():
 def test_volume_bound_bracket_failure():
     with pytest.raises(NonConvergenceError):
         volume_bound(3, float("inf"))
+
+
+def test_volume_bound_past_width_50_raises():
+    # the crossing for n = 3 at A = 1e-300 lies at x = 116.6, past the
+    # bracket's width limit, which is evaluated before the solve gives up
+    with pytest.raises(NonConvergenceError, match="below width 50"):
+        volume_bound(3, 1e-300)
 

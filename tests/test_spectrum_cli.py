@@ -414,6 +414,15 @@ def test_cli_exit_code_non_convergence(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_bound_tiny_area_exits_zero(capsys):
+    # the crossing for n = 3 at A = 1e-100 lies at x = 39.6, below the
+    # bracket's width limit of 50
+    assert main(["bound", "-n", "3", "-A", "1e-100"]) == 0
+    fields = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert float(fields["crossing_length"]) == pytest.approx(39.6447198045869, rel=1e-13)
+    assert float(fields["bound"]) > 0.0
+
+
 def test_cli_exit_code_missing_file(capsys):
     assert main(["sum", "-n", "3", "/no/such/file.txt"]) == 4
     assert "error:" in capsys.readouterr().err

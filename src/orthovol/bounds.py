@@ -24,10 +24,9 @@ from .volume_kernel import _small_length_constant, volume_kernel
 __all__ = ["collar_volume_factor", "power_law_floor", "volume_bound", "BoundResult"]
 
 _LOG2 = math.log(2.0)
-# hard limits of the bracket, in t = log x
+# least half-width of the bracket, in t = log x; its top is where the
+# collar factor's expm1((n-1) x) overflows, once (n-1) x passes this
 _LOG_BRACKET_LO = math.log(1e-300)
-_LOG_BRACKET_HI = math.log(50.0)
-# the collar factor's expm1((n-1) x) overflows once (n-1) x passes this
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 # absolute tolerance on t (relative on x) and the least rtol, 4 eps
 _T_TOL = 1e-15
@@ -157,11 +156,11 @@ def volume_bound(n: int, area: float) -> BoundResult:
     collar_volume_factor(x) <= x cosh^(n-1)(x), so h' <= -(n-1), and an
     unclamped seed lies at or above the root.  The step is at least the
     solve tolerance, so a residual at rounding level still moves it, and
-    is clamped to widths [1e-300, 50].  Far from the root h falls about
-    3 (n-1) x per unit t, so the step can overshoot by far; from n = 16
-    the upper clamp also stays below the width where (n-1) x reaches
-    log(DBL_MAX) and the collar factor overflows, which no root reaches:
-    there area = kernel / collar lies far below the least double.  Should
+    is clamped to widths from 1e-300 up to a solve tolerance below the
+    width where (n-1) x reaches log(DBL_MAX) and the collar factor
+    overflows.  Far from the root h falls about 3 (n-1) x per unit t, so
+    the step can overshoot by far, but no root reaches that width: there
+    area = kernel / collar lies far below the least double.  Should
     rounding leave h with one sign at both points, the step repeats from
     the new one, and a step that cannot leave a limit raises
     NonConvergenceError.  False position with the Anderson-Bjorck rule
@@ -185,9 +184,9 @@ def volume_bound(n: int, area: float) -> BoundResult:
             memo[t] = kv, kv.log_value - log_area - math.log(collar_volume_factor(n, x))
         return memo[t][1]
 
-    # widest half-width: 50, or a solve tolerance inside the overflow of
-    # the collar factor, which no root reaches for a double area
-    t_hi = min(_LOG_BRACKET_HI, math.log(_LOG_DBL_MAX / (n - 1.0)) - _T_TOL)
+    # widest half-width: a solve tolerance inside the overflow of the
+    # collar factor, which no root reaches for a double area
+    t_hi = math.log(_LOG_DBL_MAX / (n - 1.0)) - _T_TOL
     t = (_small_length_constant(n)[1] + (2.0 - n) * _LOG2 - log_area) / (n - 1.0)
     t = min(max(t, _LOG_BRACKET_LO), 0.0)
     ht = h(t)
@@ -196,7 +195,7 @@ def volume_bound(n: int, area: float) -> BoundResult:
         step = max(ht / (n - 1.0), tol) if ht > 0.0 else min(ht / (n - 1.0), -tol)
         t1 = min(max(t + step, _LOG_BRACKET_LO), t_hi)
         if t1 == t:
-            where = "below width 50" if ht > 0.0 else "from below"
+            where = "below the collar's overflow width" if ht > 0.0 else "from below"
             raise NonConvergenceError(
                 f"could not bracket the collar crossing {where}", math.nan, math.nan
             )

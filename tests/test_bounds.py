@@ -19,7 +19,7 @@ from orthovol import (
     volume_bound,
     volume_kernel,
 )
-from orthovol.bounds import _LOG_BRACKET_HI, _LOG_BRACKET_LO, _collar_weights
+from orthovol.bounds import _LOG_BRACKET_LO, _LOG_DBL_MAX, _T_TOL, _collar_weights
 from orthovol.volume_kernel import _small_length_constant
 
 EPS = sys.float_info.epsilon
@@ -241,14 +241,15 @@ def test_small_length_law_never_rises(n, log_l):
     assert g1 <= log_k + tol1 + 4.0 * EPS * max(1.0, abs(log_k))
 
 
-@pytest.mark.parametrize("n", [20, 60, 100, 400])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 20, 60, 100, 400])
 @pytest.mark.parametrize("area", [1e-60, 1e-100, 1e-300, 5e-324])
 def test_volume_bound_tiny_areas_in_high_dimension(n, area):
     # Far from the root, h falls about 3 (n-1) x per unit of log x, not
     # n-1, so a step from a seed clamped to x = 1 overshoots the root by
     # far.  It must stop short of where expm1((n-1) x) in the collar factor
-    # overflows, which is below width 50 from n = 16.  The crossing then
-    # satisfies the equation in logs to the rounding of log area.
+    # overflows; for n <= 6 the crossing itself lies at x = 40..126.  The
+    # crossing then satisfies the equation in logs to the rounding of
+    # log area.
     res = volume_bound(n, area)
     x = res.crossing_length
     kv = volume_kernel(n, 2.0 * x)
@@ -259,11 +260,13 @@ def test_volume_bound_tiny_areas_in_high_dimension(n, area):
 
 def test_volume_bound_first_step_brackets(monkeypatch):
     # Every solve on the grid returns, and the seed and the one step from
-    # it straddle the crossing wherever the step is not clamped to widths
-    # [1e-300, 50].
+    # it straddle the crossing wherever the step is not clamped to the
+    # bracket's limits: width 1e-300, and a solve tolerance below the width
+    # where the collar factor overflows.
     calls = _counting(monkeypatch)
-    limits = (2.0 * math.exp(_LOG_BRACKET_LO), 2.0 * math.exp(_LOG_BRACKET_HI))
     for n in (3, 4, 5, 6, 7, 8, 20, 60, 400, 2001):
+        t_hi = math.log(_LOG_DBL_MAX / (n - 1.0)) - _T_TOL
+        limits = (2.0 * math.exp(_LOG_BRACKET_LO), 2.0 * math.exp(t_hi))
         for k in range(-30, 31):
             calls.clear()
             res = volume_bound(n, 10.0 ** k)
@@ -305,12 +308,14 @@ def test_false_position_on_a_bracket(f, lo, hi, root, max_calls):
 
 @pytest.mark.parametrize(
     "area",
-    [1e-2, 1.0, 4.0 * math.pi, 1e4, 1e8, 1e12, 1e-60, 1e-70, 1e-80, 1e-90, 1e-100, 1e-110],
+    [1e-2, 1.0, 4.0 * math.pi, 1e4, 1e8, 1e12, 1e-60, 1e-70, 1e-80, 1e-90, 1e-100, 1e-110,
+     1e-200, 1e-300, 5e-324],
 )
 def test_volume_bound_matches_the_n3_oracle(area):
     # F_3(2x) = pi (1 + 2x) / (e^(4x) - 1) and C_3(x) = x/2 + sinh(2x)/4 are
     # elementary, so the crossing is a 60-digit root with no quadrature.
-    # Compared in logs: from A = 1e-60 the crossing lies at x = 24..44, the
+    # Compared in logs: from A = 1e-60 the crossing lies at x = 24..126
+    # (78.13, 116.58 and 125.53 at A = 1e-200, 1e-300 and 5e-324), the
     # bound below 1e-40.  log F_3(2x) has slope about -4x in log x, so the
     # bound's log carries 4x times the crossing's few eps.
     res = volume_bound(3, area)
@@ -357,13 +362,9 @@ def test_volume_bound_past_the_gamma_overflow(n, area):
 
 def test_volume_bound_tiny_area_takes_no_log_of_zero():
     # At n = 3 and area 1e-40 the crossing lies at 2x = 33, where the
-    # kernel is about 3e-27.  That must come out as a positive bound or
-    # NonConvergenceError, never as a bound of 0 or a math-domain error
-    # from log(0).
-    try:
-        res = volume_bound(3, 1e-40)
-    except NonConvergenceError:
-        return
+    # kernel is about 3e-27.  That must come out as a positive bound,
+    # never as a bound of 0 or a math-domain error from log(0).
+    res = volume_bound(3, 1e-40)
     assert math.isfinite(res.crossing_length)
     assert res.bound > 0.0
 
@@ -416,9 +417,14 @@ def test_volume_bound_bracket_failure():
         volume_bound(3, float("inf"))
 
 
-def test_volume_bound_past_width_50_raises():
-    # the crossing for n = 3 at A = 1e-300 lies at x = 116.6, past the
-    # bracket's width limit, which is evaluated before the solve gives up
-    with pytest.raises(NonConvergenceError, match="below width 50"):
-        volume_bound(3, 1e-300)
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 60, 600, 1001, 2000])
+def test_volume_bound_is_total(n):
+    # every positive double area from the least to 1e308 solves, and the
+    # bound is the kernel at twice the crossing: 0 only where that value
+    # underflows (n = 1001 and 2000 at 5e-324)
+    for area in (5e-324, 1e-300, 1e-30, 1.0, 1e30, 1e308):
+        res = volume_bound(n, area)
+        kv = volume_kernel(n, 2.0 * res.crossing_length)
+        assert res.bound == kv.value
+        assert res.bound > 0.0 or kv.log_value < math.log(math.ulp(0.0)), (n, area)
 

@@ -7,8 +7,10 @@ import math
 import os
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from gen_inner_reference import closed_form
 
 from oracles import inner_kernel_3d, inner_kernel_4d, inner_kernel_integral
 from orthovol import inner_kernel
@@ -147,6 +149,22 @@ def test_matches_high_precision_reference(n):
             want = float(p["value"])
             worst = max(worst, abs(got - want) / want)
     assert worst <= 2e-15
+
+
+# where m_n(b) is a normal double but the closed form returns nan (300, 1.1;
+# 500 and 600, 1.5), -inf (400, 1.5; 600, 2) or raises OverflowError
+# from (b + 1)^(n-2) (600, 2.5 and 2.99); ROADMAP item 5 mends them
+WIDE_BAND = ((300, 1.1), (500, 1.5), (600, 1.5), (400, 1.5), (600, 2.0),
+             (600, 2.5), (600, 2.99))
+
+
+@pytest.mark.xfail(strict=True, reason="the closed form's defect band for large n")
+@pytest.mark.parametrize("n,b", WIDE_BAND)
+def test_closed_form_wide_band(n, b):
+    with mpmath.workdps(int(40 + (n + 1) * max(1.0, math.log10(b)))):
+        want = closed_form(n, b)
+    got = inner_kernel(n, b)
+    assert math.isfinite(got) and abs(got / want - 1) <= 1e-12
 
 
 @pytest.mark.parametrize(

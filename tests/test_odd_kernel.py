@@ -1,92 +1,23 @@
-"""The s-series of volume_kernel: odd n at every length, even n below ln 2 / 2.
+"""The s-series of volume_kernel: its coefficients, and the paths it never takes.
 
-tests/data/s_series_reference.json holds F_n(l) for odd and even n = 3..100
-below l = ln 2 / 2, and tests/data/series_reference.json the odd n among
-n = 3..100 from there on, both from the kernel's hypergeometric form at
-40 digits or more (tests/gen_series_reference.py), with log F for the
-points where F leaves the double range.  For odd n the series is the
-closed form; for even n it has a second, log-s sum.
+Odd n sums the s-series in s = 1 - e^(-2l) at every length, where it is
+a closed form; even n sums it below ln 2 / 2, with a second, log-s sum.
+tests/test_series.py checks the values against the 40-digit table.
 """
 
 import importlib
-import json
 import math
-import os
-import statistics
 import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from orthovol import volume_kernel
 from orthovol.volume_kernel import _SERIES_CUT, _s_coefficients
 
 EPS = sys.float_info.epsilon
-TINY = sys.float_info.min
 HUGE = sys.float_info.max
-DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-
-
-def _points(name):
-    with open(os.path.join(DATA, name)) as fh:
-        return json.load(fh)["points"]
-
-
-POINTS = _points("s_series_reference.json") + [
-    p for p in _points("series_reference.json") if p["n"] % 2
-]
-ODD = [p for p in POINTS if p["n"] % 2]
-EVEN = [p for p in POINTS if not p["n"] % 2]
-
-
-def log_bound(n, l, log_ref):
-    # the log scale's own rounding: a few eps times the size of its terms
-    return 4.0 * EPS * max(1.0, (n - 1) * l, abs(log_ref)) + 4.0 * math.ulp(log_ref)
-
-
-def check_within_estimate(points):
-    # |value - F| <= err_estimate + 4 ulp where F is a normal double;
-    # elsewhere value is 0, subnormal or inf as F is, and log_value is log F
-    for p in points:
-        n = p["n"]
-        kv = volume_kernel(n, p["l"])
-        ref, log_ref = float(p["value"]), float(p["log_value"])
-        assert abs(kv.value - ref) <= kv.err_estimate + 4.0 * math.ulp(kv.value) or (
-            kv.value == ref == math.inf and kv.err_estimate == math.inf
-        ), p
-        if not TINY <= ref < math.inf:
-            assert abs(kv.log_value - log_ref) <= log_bound(n, p["l"], log_ref), p
-
-
-def median_over_estimate(points):
-    over = []
-    for p in points:
-        ref = float(p["value"])
-        if TINY <= ref < math.inf:
-            kv = volume_kernel(p["n"], p["l"])
-            over.append(kv.err_estimate / (abs(kv.value - ref) + math.ulp(ref)))
-    return statistics.median(over)
-
-
-@pytest.mark.parametrize("n", sorted({p["n"] for p in ODD}))
-def test_odd_within_its_estimate(n):
-    check_within_estimate(p for p in ODD if p["n"] == n)
-
-
-@pytest.mark.parametrize("n", sorted({p["n"] for p in EVEN}))
-def test_even_within_its_estimate(n):
-    check_within_estimate(p for p in EVEN if p["n"] == n)
-
-
-def test_odd_estimate_is_not_loose():
-    assert median_over_estimate(ODD) < 1e3
-
-
-def test_even_estimate_is_not_loose():
-    assert median_over_estimate(EVEN) < 1e3
 
 
 def exact_coefficients(n):
@@ -177,7 +108,7 @@ def test_even_coefficients(n):
 
 def check_sane(kv, n, l):
     assert not math.isnan(kv.value + kv.err_estimate + kv.log_value)
-    assert kv.value >= 0.0 and kv.err_estimate > 0.0
+    assert kv.value >= 0.0 and kv.err_estimate > 0.0 and kv.log_value < math.inf
     if kv.value == math.inf:
         assert kv.err_estimate == math.inf and math.isfinite(kv.log_value)
     elif kv.value == 0.0:
@@ -186,7 +117,7 @@ def check_sane(kv, n, l):
 
 
 LENGTHS = (5e-324, 1e-300, 1e-12, 0.1, math.nextafter(_SERIES_CUT, 0.0),
-           _SERIES_CUT, 1.0, 1e4, 1e300, HUGE)
+           _SERIES_CUT, 0.5, 1.0, 5.0, 50.0, 400.0, 1e4, 1e300, HUGE)
 
 
 def test_odd_never_integrates(monkeypatch):
@@ -213,7 +144,7 @@ def test_odd_never_integrates(monkeypatch):
 
 def test_no_dimension_integrates(monkeypatch):
     # n = 3..100 reaches neither integral form, the integrator nor the
-    # inner kernel at any length
+    # inner kernel at any length, and F just below the cut is positive
     def fail(*args, **kwargs):
         raise AssertionError("volume_kernel integrated")
 
@@ -224,45 +155,5 @@ def test_no_dimension_integrates(monkeypatch):
     for n in range(3, 101):
         for l in LENGTHS:
             check_sane(volume_kernel(n, l), n, l)
+        assert volume_kernel(n, math.nextafter(_SERIES_CUT, 0.0)).value > 0.0
 
-
-@settings(max_examples=300, deadline=None)
-@given(
-    n=st.integers(1, 49).map(lambda k: 2 * k + 1),
-    lengths=st.tuples(st.floats(1e-12, 1e4), st.floats(1e-12, 1e4)),
-)
-def test_odd_positive_and_decreasing(n, lengths):
-    lo, hi = sorted(lengths)
-    near, far = (volume_kernel(n, l) for l in (lo, hi))
-    for kv in (near, far):
-        assert math.isfinite(kv.log_value)
-        # 0 only where F rounds to 0, inf only where it overflows
-        assert kv.value > 0.0 or kv.log_value < math.log(math.ulp(0.0))
-        assert kv.value < math.inf or kv.log_value > math.log(HUGE)
-        if TINY <= kv.value < math.inf:
-            assert abs(math.log(kv.value) - kv.log_value) <= (
-                2.0 * EPS * max(1.0, abs(kv.log_value))
-            )
-    # non-increasing within the estimates: lengths an ulp apart may
-    # round either way
-    assert far.value <= near.value + near.err_estimate + far.err_estimate
-    assert far.log_value <= near.log_value + log_bound(n, hi, far.log_value)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    n=st.integers(2, 200).map(lambda k: 2 * k),
-    log_l=st.floats(math.log(1e-300), math.log(_SERIES_CUT), exclude_max=True),
-)
-def test_even_total_below_cut(n, log_l):
-    # even n below ln 2 / 2 never raises; value is 0 or inf only where
-    # log_value is past the double range, and exp(log_value) elsewhere
-    l = min(math.exp(log_l), math.nextafter(_SERIES_CUT, 0.0))
-    kv = volume_kernel(n, l)
-    check_sane(kv, n, l)
-    assert math.isfinite(kv.log_value)
-    assert kv.value > 0.0 or kv.log_value < math.log(math.ulp(0.0))
-    assert kv.value < math.inf or kv.log_value > math.log(HUGE)
-    if TINY <= kv.value < math.inf:
-        assert abs(math.log(kv.value) - kv.log_value) <= 2.0 * EPS * max(1.0, abs(kv.log_value))
-        assert kv.err_estimate < 1e-10 * kv.value

@@ -153,7 +153,7 @@ def test_non_convergence_gives_up_early():
 
 
 # F_n(l) at the two points, from the 60-digit hypergeometric form of
-# tests/gen_series_reference.py; the benchmark's reference table
+# tests/gen_kernel_reference.py; the benchmark's reference table
 # matches both to 1.2e-16
 NAN_BAND_KERNEL = {
     (39, 3.21403e-9): "1.6068761201788042585e+295",

@@ -9,7 +9,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from gen_series_reference import kernel as series_kernel_mp
+from gen_kernel_reference import kernel as series_kernel_mp
 from test_constants import small_length_constant_mp
 
 from orthovol import (
@@ -415,12 +415,13 @@ def test_cli_exit_code_non_convergence(capsys):
 
 
 def test_cli_bound_tiny_area_exits_zero(capsys):
-    # the crossing for n = 3 at A = 1e-100 lies at x = 39.6, below the
-    # bracket's width limit of 50
-    assert main(["bound", "-n", "3", "-A", "1e-100"]) == 0
-    fields = dict(line.split() for line in capsys.readouterr().out.splitlines())
-    assert float(fields["crossing_length"]) == pytest.approx(39.6447198045869, rel=1e-13)
-    assert float(fields["bound"]) > 0.0
+    # the crossing for n = 3 lies at x = 39.6 for A = 1e-100 and at 116.6
+    # for A = 1e-300
+    for area, crossing in (("1e-100", 39.6447198045869), ("1e-300", 116.57594488868963)):
+        assert main(["bound", "-n", "3", "-A", area]) == 0
+        fields = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert float(fields["crossing_length"]) == pytest.approx(crossing, rel=1e-13)
+        assert float(fields["bound"]) > 0.0
 
 
 def test_cli_exit_code_missing_file(capsys):

@@ -191,8 +191,8 @@ def test_dispatcher_routes(monkeypatch):
     # t-series; odd dimensions take the s-series at every length.  Each
     # agrees with the radial quadrature within the two estimates from
     # l = 0.1 on (below that the quadrature's estimate is no bound: at
-    # (8, 1e-3) it is 5 times short; the 40-digit tables of
-    # test_odd_kernel.py cover small l), and the even dimensions are
+    # (8, 1e-3) it is 5 times short; the 40-digit table of
+    # test_series.py covers small l), and the even dimensions are
     # continuous across the cut within them, where the t-series alone
     # serves the cut.
     module = importlib.import_module("orthovol.volume_kernel")
@@ -265,7 +265,7 @@ def test_overflowing_inner_kernel_raises_overflow_error():
 
 
 # F_n(l) from the 60-digit hypergeometric form of
-# tests/gen_series_reference.py, and the relative error allowed
+# tests/gen_kernel_reference.py, and the relative error allowed
 SMALL_LENGTH_KERNEL = {
     (6, 1e-8): ("2.9088820866572154078e+31", 1e-8),
     (8, 1e-7): ("6.1410871828999614936e+40", 1e-10),

@@ -1,8 +1,10 @@
-"""The s-series of volume_kernel: its coefficients, and the paths it never takes.
+"""The s-series of volume_kernel: its values below ln 2 / 2, its coefficients,
+and the paths it never takes.
 
 Odd n sums the s-series in s = 1 - e^(-2l) at every length, where it is
 a closed form; even n sums it below ln 2 / 2, with a second, log-s sum.
-tests/test_series.py checks the values against the 40-digit table.
+The rows of the 40-digit table below the cut are gated here, the rest in
+tests/test_series.py.
 """
 
 import importlib
@@ -12,12 +14,39 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from kernel_checks import (ANY_LENGTH, LENGTHS, POINTS, check_sane, check_total,
+                           check_within_estimate, forbid_integration, median_over_estimate)
 
 from orthovol import volume_kernel
 from orthovol.volume_kernel import _SERIES_CUT, _s_coefficients
 
 EPS = sys.float_info.epsilon
-HUGE = sys.float_info.max
+BELOW = [p for p in POINTS if p["l"] < _SERIES_CUT]
+ODD = [p for p in POINTS if p["n"] % 2]
+# n = 2 takes the Rogers form, gated in tests/test_series.py
+EVEN = [p for p in BELOW if p["n"] >= 4 and not p["n"] % 2]
+
+
+@pytest.mark.parametrize("n", sorted({p["n"] for p in ODD}))
+def test_odd_within_its_estimate(n):
+    check_within_estimate(p for p in BELOW if p["n"] == n)
+
+
+@pytest.mark.parametrize("n", sorted({p["n"] for p in EVEN}))
+def test_even_within_its_estimate(n):
+    check_within_estimate(p for p in EVEN if p["n"] == n)
+
+
+def test_odd_estimate_is_not_loose():
+    # the closed odd s-series, at every length
+    assert median_over_estimate(ODD) < 1e3
+
+
+def test_even_estimate_is_not_loose():
+    # the even s-series, below the cut
+    assert median_over_estimate(EVEN) < 1e3
 
 
 def exact_coefficients(n):
@@ -106,20 +135,6 @@ def test_even_coefficients(n):
             w = w * (n - 1 + 2 * k) / (2 * (k + 1))
 
 
-def check_sane(kv, n, l):
-    assert not math.isnan(kv.value + kv.err_estimate + kv.log_value)
-    assert kv.value >= 0.0 and kv.err_estimate > 0.0 and kv.log_value < math.inf
-    if kv.value == math.inf:
-        assert kv.err_estimate == math.inf and math.isfinite(kv.log_value)
-    elif kv.value == 0.0:
-        # -inf only where log F itself is past the double range
-        assert math.isfinite(kv.log_value) or (n - 1) * l == math.inf
-
-
-LENGTHS = (5e-324, 1e-300, 1e-12, 0.1, math.nextafter(_SERIES_CUT, 0.0),
-           _SERIES_CUT, 0.5, 1.0, 5.0, 50.0, 400.0, 1e4, 1e300, HUGE)
-
-
 def test_odd_never_integrates(monkeypatch):
     # odd n reaches neither the quadrature, the inner kernel nor the
     # t-series, from the least positive double to the largest
@@ -144,16 +159,32 @@ def test_odd_never_integrates(monkeypatch):
 
 def test_no_dimension_integrates(monkeypatch):
     # n = 3..100 reaches neither integral form, the integrator nor the
-    # inner kernel at any length, and F just below the cut is positive
-    def fail(*args, **kwargs):
-        raise AssertionError("volume_kernel integrated")
-
-    module = importlib.import_module("orthovol.volume_kernel")
-    for name in ("inner_kernel", "adaptive_quad", "volume_kernel_radial",
-                 "volume_kernel_alt"):
-        monkeypatch.setattr(module, name, fail)
+    # inner kernel below the cut (tests/test_series.py: from it on)
+    forbid_integration(monkeypatch)
     for n in range(3, 101):
         for l in LENGTHS:
-            check_sane(volume_kernel(n, l), n, l)
-        assert volume_kernel(n, math.nextafter(_SERIES_CUT, 0.0)).value > 0.0
+            if l < _SERIES_CUT:
+                check_sane(volume_kernel(n, l), n, l)
 
+
+BELOW_CUT = st.one_of(
+    st.floats(1e-12, _SERIES_CUT, exclude_max=True),
+    st.floats(math.log(1e-300), math.log(_SERIES_CUT)).map(math.exp),
+).map(lambda l: min(l, math.nextafter(_SERIES_CUT, 0.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 999).map(lambda k: 2 * k + 1),
+       lengths=st.tuples(ANY_LENGTH, ANY_LENGTH))
+def test_odd_positive_and_decreasing(n, lengths):
+    # odd n = 3..1999 is total on l = 1e-300..1e300 (kernel_checks.check_total)
+    check_total(n, *sorted(lengths))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 1000).map(lambda k: 2 * k),
+       lengths=st.tuples(BELOW_CUT, BELOW_CUT))
+def test_even_total_below_cut(n, lengths):
+    # even n = 4..2000 is total on l = 1e-300..ln 2 / 2; pairs that reach
+    # the cut are drawn in tests/test_series.py
+    check_total(n, *sorted(lengths))

@@ -1,17 +1,12 @@
-"""volume_kernel against one 40-digit reference table, and the t-series' terms.
+"""volume_kernel from l = ln 2 / 2 on against the 40-digit table, and the t-series' terms.
 
-tests/data/kernel_reference.json (written by tests/gen_kernel_reference.py)
-holds F_n(l) and log F_n(l) to 20 digits for n = 2..2001 and
-l = 1e-300..1e300.  Odd n sums its closed s-series at every length, even
-n the s-series below l = ln 2 / 2 and Euler's t-series in t = e^(-2l)
-from there on, both from one table per dimension; one gate checks every
-row of every path against its error estimate.
+Odd n sums its closed s-series at every length (tests/test_odd_kernel.py);
+even n sums Euler's t-series in t = e^(-2l) from the cut on, from the
+same per-dimension table as its s-series below it.  The table's rows
+from the cut on are gated here, and every row of n = 2.
 """
 
-import json
 import math
-import os
-import statistics
 import sys
 from fractions import Fraction
 
@@ -20,6 +15,8 @@ import pytest
 from gen_kernel_reference import DIMENSIONS, grid
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_checks import (ANY_LENGTH, LENGTHS, POINTS, check_sane, check_total,
+                           check_within_estimate, forbid_integration, median_over_estimate)
 
 from orthovol import volume_kernel
 from orthovol.volume_kernel import _BUILD_TAIL, _SERIES_CUT, _s_coefficients
@@ -27,16 +24,6 @@ from orthovol.volume_kernel import _BUILD_TAIL, _SERIES_CUT, _s_coefficients
 EPS = sys.float_info.epsilon
 TINY = sys.float_info.min
 HUGE = sys.float_info.max
-PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                    "kernel_reference.json")
-
-with open(PATH) as fh:
-    POINTS = json.load(fh)["points"]
-
-
-def log_bound(n, l, log_ref):
-    # the log scale's own rounding: a few eps times the size of its terms
-    return 4.0 * EPS * max(1.0, (n - 1) * l, abs(log_ref)) + 4.0 * math.ulp(log_ref)
 
 
 def test_reference_table_is_the_generators_grid():
@@ -67,66 +54,41 @@ N2_DRIFTS = pytest.mark.xfail(
 
 @pytest.mark.parametrize("n", [pytest.param(2, marks=N2_DRIFTS), *DIMENSIONS[1:]])
 def test_series_within_its_estimate(n):
-    # |value - F| <= err_estimate + 4 ulp at every row (inf only with an
-    # inf estimate); where F is not a normal double, log_value is log F
-    # within the log scale's rounding as well
-    for p in POINTS:
-        if p["n"] != n:
-            continue
-        kv = volume_kernel(n, p["l"])
-        ref, log_ref = float(p["value"]), float(p["log_value"])
-        assert abs(kv.value - ref) <= kv.err_estimate + 4.0 * math.ulp(kv.value) or (
-            kv.value == ref == math.inf and kv.err_estimate == math.inf
-        ), p
-        if not TINY <= ref < math.inf:
-            assert abs(kv.log_value - log_ref) <= log_bound(n, p["l"], log_ref), p
+    check_within_estimate(p for p in POINTS if p["n"] == n and (n == 2 or p["l"] >= _SERIES_CUT))
 
 
 def test_series_estimate_is_not_loose():
-    # on each of the three paths the estimate stays, in the median over
-    # the rows where F is a normal double, within 1e3 of the error it bounds
-    over = {"odd s-series": [], "even s-series": [], "even t-series": []}
-    for p in POINTS:
-        n, l, ref = p["n"], p["l"], float(p["value"])
-        if n >= 3 and TINY <= ref < math.inf:
-            path = "odd s-series" if n % 2 else (
-                "even t-series" if l >= _SERIES_CUT else "even s-series")
-            kv = volume_kernel(n, l)
-            over[path].append(kv.err_estimate / (abs(kv.value - ref) + math.ulp(ref)))
-    for path, ratios in over.items():
-        assert statistics.median(ratios) < 1e3, path
+    # the even t-series, from the cut on
+    assert median_over_estimate(
+        p for p in POINTS if p["n"] >= 4 and not p["n"] % 2 and p["l"] >= _SERIES_CUT
+    ) < 1e3
 
 
-LENGTH = st.one_of(
-    st.floats(1e-12, 1e4),
-    st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
-)
+def test_series_never_integrates(monkeypatch):
+    # n = 3..100 reaches neither integral form, the integrator nor the
+    # inner kernel from the cut on (tests/test_odd_kernel.py: below it),
+    # and F just below the cut is positive
+    forbid_integration(monkeypatch)
+    for n in range(3, 101):
+        for l in LENGTHS:
+            if l >= _SERIES_CUT:
+                check_sane(volume_kernel(n, l), n, l)
+        assert volume_kernel(n, math.nextafter(_SERIES_CUT, 0.0)).value > 0.0
+
+
+FROM_CUT = st.one_of(
+    st.floats(_SERIES_CUT, 1e4),
+    st.floats(math.log(_SERIES_CUT), math.log(1e300)).map(math.exp),
+).map(lambda l: max(l, _SERIES_CUT))
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(3, 2000), lengths=st.tuples(LENGTH, LENGTH))
+@given(n=st.integers(2, 1000).map(lambda k: 2 * k), lengths=st.tuples(ANY_LENGTH, FROM_CUT))
 def test_series_positive_and_decreasing(n, lengths):
-    # every n >= 3 is total on l = 1e-300..1e300: a finite log_value, a
-    # positive estimate, 0 or inf only where log F leaves the double range
-    # (inf with an inf estimate), exp(log_value) and a relative estimate
-    # below 1e-10 elsewhere, and non-increasing in l within the estimates
-    lo, hi = sorted(lengths)
-    near, far = (volume_kernel(n, l) for l in (lo, hi))
-    for kv in (near, far):
-        assert kv.value >= 0.0 and kv.err_estimate > 0.0
-        assert math.isfinite(kv.log_value)
-        assert kv.value > 0.0 or kv.log_value < math.log(math.ulp(0.0))
-        assert kv.value < math.inf or (
-            kv.log_value > math.log(HUGE) and kv.err_estimate == math.inf
-        )
-        if TINY <= kv.value < math.inf:
-            assert abs(math.log(kv.value) - kv.log_value) <= (
-                2.0 * EPS * max(1.0, abs(kv.log_value))
-            )
-            assert kv.err_estimate < 1e-10 * kv.value
-    # lengths an ulp apart may round either way
-    assert far.value <= near.value + near.err_estimate + far.err_estimate
-    assert far.log_value <= near.log_value + log_bound(n, hi, far.log_value)
+    # even n = 4..2000 is total on l = 1e-300..1e300 for pairs that reach
+    # the cut (kernel_checks.check_total); odd n and pairs below the cut
+    # are drawn in tests/test_odd_kernel.py
+    check_total(n, *sorted(lengths))
 
 
 @pytest.mark.parametrize("n", (4, 6, 10, 20, 60, 100, 400, 2000))

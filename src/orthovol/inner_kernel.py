@@ -19,7 +19,7 @@ import math
 from functools import cache
 from operator import mul
 
-from .special import partial_log_series, truncated_log
+from .special import harmonic, truncated_log
 
 __all__ = ["inner_kernel"]
 
@@ -59,17 +59,18 @@ def _closed_form(n: int, b: float) -> float:
     ratio loses up to six digits near b = 1.  Where (b-1)^(n-2)
     underflows to 0 (b = 1 + 1e-8 from n = 43 on), m_n(b), which grows
     like 2 H_(n-2) / ((n-1)(n-2) (b-1)^(n-2)), is past the double range:
-    that raises OverflowError.
+    that raises OverflowError, as does a result of +inf.  For large n the
+    groups overflow first (nan at (100, 1.001), -inf at (600, 2)): any
+    other result that is not a finite positive double raises ArithmeticError.
     """
     k = n - 2
     near = (b - 1.0) ** k
     if near == 0.0:
-        raise OverflowError(
-            f"inner kernel m_n(b) leaves the double range at n = {n}, b = {b!r}"
-        )
+        raise OverflowError(f"inner kernel m_n(b) leaves the double range at n = {n}, b = {b!r}")
     m = n - 3
     sgn = -1.0 if n % 2 else 1.0
-    h2 = 2.0 * partial_log_series(n - 2, 1.0)
+    h, d = harmonic(k)
+    h2 = 2 * h / d
     lbp = math.log(b + 1.0)
     lbm = math.log(b - 1.0)
     lb = math.log(b)
@@ -97,12 +98,17 @@ def _closed_form(n: int, b: float) -> float:
     )
     # 2^(n-2) as an exponent shift: (2b)^(n-2) overflows near b = 3
     # from n = 399
-    return (
+    value = (
         g1 / near
         + g2 / (b + 1.0) ** k
         + math.ldexp(g3 / b**k, -k)
         + math.ldexp(g4, -k)
     ) / ((n - 1.0) * (n - 2.0))
+    if not 0.0 < value < math.inf:
+        if value == math.inf:
+            raise OverflowError(f"inner kernel m_n(b) leaves the double range at n = {n}, b = {b!r}")
+        raise ArithmeticError(f"inner kernel's closed form gives {value!r} at n = {n}, b = {b!r}")
+    return value
 
 
 @cache

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .bounds import volume_bound
 from .inner_kernel import inner_kernel
-from .special import partial_log_series
+from .special import harmonic
 from .volume_kernel import (
     _small_length_constant,
     small_length_constant,
@@ -50,15 +50,14 @@ def check_small_length_logs() -> float:
 
 def check_near_one_limit() -> float:
     # (b-1)^(n-2) m_n(b) at b = 1 + 1e-6 against its limit as b -> 1,
-    # 2 H_(n-2) / ((n-1)(n-2))
+    # 2 H_(n-2) / ((n-1)(n-2)), rounded once
     b = 1.0 + 1e-6
-    return max(
-        _rel(
-            (b - 1.0) ** (n - 2) * inner_kernel(n, b),
-            2.0 * partial_log_series(n - 2, 1.0) / ((n - 1.0) * (n - 2.0)),
-        )
-        for n in range(3, 9)
-    )
+    worst = 0.0
+    for n in range(3, 9):
+        h, d = harmonic(n - 2)
+        limit = 2 * h / (d * (n - 1) * (n - 2))
+        worst = max(worst, _rel((b - 1.0) ** (n - 2) * inner_kernel(n, b), limit))
+    return worst
 
 
 def check_surface_limit() -> float:

@@ -19,7 +19,7 @@ from functools import cache
 
 from .inner_kernel import inner_kernel
 from .quadrature import KernelValue, adaptive_quad
-from .special import rogers_l
+from .special import harmonic, rogers_l
 
 __all__ = ["volume_kernel", "surface_kernel", "small_length_constant"]
 
@@ -161,8 +161,7 @@ def _small_length_constant(n: int) -> tuple[float, float]:
     if n < 3:
         raise ValueError("dimension must be >= 3")
     num, den, p = _c_rational(n)
-    d = math.factorial(n - 2)
-    h = sum(d // j for j in range(1, n - 1))
+    h, d = harmonic(n - 2)
     return _pi_rational(num * h, den * d << (n - 2), p)
 
 
@@ -261,8 +260,7 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
     else:
         c = l_max = x_max = 0.0
     # r_k = rn / rd and e_k = en / d with d = lcm(1, ..., n-2), all exact
-    d = math.lcm(*range(1, n - 1))
-    en = sum(d // j for j in range(1, n - 1))
+    en, d = harmonic(n - 2)
     rn = rd = 1
     coefs = []
     for k in range(n - 2):

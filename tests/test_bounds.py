@@ -61,17 +61,17 @@ def test_collar_factor_past_the_double_binomials(n, r):
 
 def test_collar_factor_dominates_sinh():
     for n in range(2, 9):
-        for k in range(1, 41):
-            r = 0.1 * k
+        for k in range(1, 81):
+            r = 0.05 * k
             assert collar_volume_factor(n, r) >= math.sinh(r) * (1.0 - 1e-15)
 
 
 def test_collar_factor_convex_in_width():
     # The integrand cosh^(n-1) increases, so second differences of the
-    # factor on a uniform grid must be nonnegative.
+    # factor on a uniform grid out to r = 4 must be nonnegative.
     h = 0.05
     for n in range(2, 9):
-        vals = [collar_volume_factor(n, h * k) for k in range(0, 61)]
+        vals = [collar_volume_factor(n, h * k) for k in range(0, 81)]
         for a, b, c in zip(vals, vals[1:], vals[2:]):
             assert a + c - 2.0 * b >= -1e-13 * c
 

@@ -71,9 +71,6 @@ def test_small_length_constant_matches_gamma_form(n):
         assert small_length_constant(n) == value
         _check_value(value, ref)
         _check_log(log_value, ref)
-        if n <= 12:
-            # the range kn prints by default
-            assert abs(value - ref) <= 3 * math.ulp(float(ref))
 
 
 @pytest.mark.parametrize("n", DIMENSIONS)

@@ -120,8 +120,9 @@ def _reference_points():
         return json.load(fh)["points"]
 
 
-# ROADMAP item 3's near-one band: the closed form's truncated logs give nan
-# at these reference points, so the test pins that until the band is mended
+# ROADMAP item 5's near-one band: the closed form's truncated logs overflow
+# to nan at these reference points, which raises ArithmeticError, so the
+# test pins that until the band is mended
 NEAR_ONE_BAND = {(100, 1.001)}
 
 
@@ -135,25 +136,26 @@ def test_matches_high_precision_reference(n):
     the series misses by 2.6e-15 to 3.1e-15 at n = 100 unless it puts
     back the rounding of 9/b^2.  Before the far-field series the closed
     form missed it by up to 4e-5 (n = 3, b = 1e12) and raised
-    OverflowError at (100, 1e3).  A non-finite value fails, except in
-    NEAR_ONE_BAND, which fails once it turns finite.
+    OverflowError at (100, 1e3).  A non-finite value fails; NEAR_ONE_BAND
+    must raise ArithmeticError, and fails once it returns.
     """
     worst = 0.0
     for p in _reference_points():
         if p["n"] == n:
-            got = inner_kernel(n, p["b"])
             if (n, p["b"]) in NEAR_ONE_BAND:
-                assert not math.isfinite(got), f"near-one band mended at {p}: drop it"
+                with pytest.raises(ArithmeticError, match="closed form gives nan"):
+                    inner_kernel(n, p["b"])
                 continue
+            got = inner_kernel(n, p["b"])
             assert math.isfinite(got), p
             want = float(p["value"])
             worst = max(worst, abs(got - want) / want)
     assert worst <= 2e-15
 
 
-# where m_n(b) is a normal double but the closed form returns nan (300, 1.1;
-# 500 and 600, 1.5), -inf (400, 1.5; 600, 2) or raises OverflowError
-# from (b + 1)^(n-2) (600, 2.5 and 2.99); ROADMAP item 5 mends them
+# where m_n(b) is a normal double but the closed form raises: ArithmeticError
+# where it gives nan (300, 1.1; 500 and 600, 1.5) or -inf (400, 1.5; 600, 2),
+# OverflowError from (b + 1)^(n-2) (600, 2.5 and 2.99); ROADMAP item 5 mends them
 WIDE_BAND = ((300, 1.1), (500, 1.5), (600, 1.5), (400, 1.5), (600, 2.0),
              (600, 2.5), (600, 2.99))
 
@@ -246,11 +248,11 @@ def test_closed_form_scales_powers_of_two_apart(n):
 
 
 def test_far_field_leading_coefficients():
-    # alpha_0 = 4/(n-1) is the far-field log coefficient, beta_0/alpha_0 = r_n
+    # alpha_0 = 4/(n-1) is the far-field log coefficient; beta_0/alpha_0 = r_n
+    # is test_acceptance's C4
     for n in range(3, 9):
-        alpha, beta = _series_coefficients(n)
+        alpha, _ = _series_coefficients(n)
         assert alpha[0] == pytest.approx(4.0 / (n - 1), rel=1e-15)
-        assert beta[0] / alpha[0] == pytest.approx(far_offset(n), rel=1e-15)
 
 
 # log 2 to 60 digits, for the exact coefficients below
@@ -337,7 +339,7 @@ def test_near_one_coefficient_via_integral():
 
 
 def test_far_limit_at_finite_ratio():
-    """The far field at finite ratio against its two-term expansion.
+    """The 3d and 4d oracles' far field against its two-term expansion.
 
     b^(n-1) inner_kernel(n, b) = (4/(n-1)) (log b + r_n) + O(log b / b^2),
     with r_n from far_offset.  Dimension 3 follows by hand from
@@ -347,16 +349,11 @@ def test_far_limit_at_finite_ratio():
     r_3 = 3/2 - log 2.  For general n the expansion of the closed form
     in 1/b (sympy) gives the far_offset sum; the 1/b term cancels.  So
     b^(n-1)/log(b) inner_kernel(n, b) equals (4/(n-1)) (1 + r_n / log b),
-    not 4/(n-1), which it misses by 5.8% to 9.3% at b = 1e6 and, in
-    dimension 4, by 10.3% at b = 1e4.  The two-term value is met to
-    1.0e-12 to 9.6e-12 by inner_kernel at b = 1e6, to 1.0e-12 by
-    inner_kernel_3d at b = 1e6 and to 2.1e-8 by inner_kernel_4d at
-    b = 1e4, the size of the next term there.
+    not 4/(n-1), which it misses in dimension 4 by 10.3% at b = 1e4.
+    The two-term value is met to 1.0e-12 by inner_kernel_3d at b = 1e6
+    and to 2.1e-8 by inner_kernel_4d at b = 1e4, the size of the next
+    term there; test_acceptance's C4 holds inner_kernel itself to it.
     """
-    for n in range(3, 9):
-        want = 4.0 / (n - 1) * (1.0 + far_offset(n) / math.log(1e6))
-        got = 1e6 ** (n - 1) / math.log(1e6) * inner_kernel(n, 1e6)
-        assert got == pytest.approx(want, rel=1e-6)
     assert 1e12 / math.log(1e6) * inner_kernel_3d(1e6) == pytest.approx(
         2.0 * (1.0 + far_offset(3) / math.log(1e6)), rel=1e-6
     )
@@ -392,12 +389,3 @@ def test_decay_envelope():
         bound = 1.02 * max(coarse)
         for b in np.geomspace(1.0001, 1e4, 400):
             assert (b - 1.0) ** (n - 2) * inner_kernel(n, b) <= bound
-
-
-def test_asymptotics_values():
-    # (b-1)^(n-2) m_n(b) tends to 2 H_(n-2) / ((n-1)(n-2)) as b -> 1:
-    # 1, 1/2 and 11/36 for n = 3, 4, 5, met at b = 1 + 1e-6 to 3.5e-12
-    b = 1.0 + 1e-6
-    for n, limit in ((3, 1.0), (4, 0.5), (5, 11.0 / 36.0)):
-        got = (b - 1.0) ** (n - 2) * inner_kernel(n, b)
-        assert got == pytest.approx(limit, rel=7e-12, abs=0)

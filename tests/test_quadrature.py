@@ -163,11 +163,12 @@ NAN_BAND_KERNEL = {
 
 @pytest.mark.parametrize("n,l", NAN_BAND_KERNEL)
 def test_non_finite_rule_raises_at_once(n, l):
-    # the inner kernel's closed form returns nan in a band of b - 1 for
-    # n >= 38: the radial integral's estimate turns nan, which raises
-    # instead of returning KernelValue(nan, nan).  volume_kernel takes
-    # the odd closed form there, within its estimate of F.
-    with pytest.raises(NonConvergenceError, match="nan"):
+    # the inner kernel's closed form overflows to nan in a band of b - 1
+    # for n >= 38, which raises ArithmeticError: it leaves the radial
+    # integrand through scipy's quad at once, where it used to turn the
+    # estimate nan.  volume_kernel takes the s-series there, within its
+    # estimate of F.
+    with pytest.raises(ArithmeticError, match="closed form gives nan"):
         volume_kernel_radial(n, l)
     kv = volume_kernel(n, l)
     assert abs(kv.value - float(NAN_BAND_KERNEL[n, l])) <= kv.err_estimate

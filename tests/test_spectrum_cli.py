@@ -141,6 +141,16 @@ def test_cli_mn_past_the_double_range_exits_two(capsys):
     assert "error: inner kernel m_n(b) leaves the double range" in captured.err
 
 
+@pytest.mark.parametrize("n,b", [("100", "1.001"), ("600", "2.0")])
+def test_cli_mn_lost_closed_form_exits_two(capsys, n, b):
+    # the closed form's terms overflow before m_n(b) does: these printed
+    # nan and -inf and exited 0
+    assert main(["mn", "-n", n, "-b", b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: inner kernel's closed form gives")
+
+
 def test_cli_kn_single(capsys):
     assert main(["kn", "-n", "5"]) == 0
     out = capsys.readouterr().out.strip()

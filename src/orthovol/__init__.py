@@ -13,13 +13,8 @@ from .bounds import (
 )
 from .inner_kernel import inner_kernel
 from .quadrature import KernelValue, NonConvergenceError
-from .special import rogers_l
 from .spectrum import SpectrumFormatError, parse_spectrum, spectrum_volume
-from .volume_kernel import (
-    small_length_constant,
-    surface_kernel,
-    volume_kernel,
-)
+from .volume_kernel import small_length_constant, volume_kernel
 
 __version__ = "0.1.0"
 
@@ -32,10 +27,8 @@ __all__ = [
     "inner_kernel",
     "parse_spectrum",
     "power_law_floor",
-    "rogers_l",
     "small_length_constant",
     "spectrum_volume",
-    "surface_kernel",
     "volume_bound",
     "volume_kernel",
 ]

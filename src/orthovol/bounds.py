@@ -4,11 +4,11 @@ A collar of half-width x around the boundary has volume
 area * collar_volume_factor(x).  The volume kernel evaluated at
 twice the half-width caps how much volume a single orthogeodesic can
 certify, and the crossing point of the two curves yields a volume
-bound depending only on dimension and boundary area, with a power-law
-floor A^((n-2)/(n-1)) up to a computable constant.  The crossing is the
-one root of a decreasing function of log x.  It is seeded at the
-small-length crossing, bracketed by one step proved to reach or pass the
-root, and found by bracketed false position.
+bound depending only on dimension and boundary area, which tends to
+the power-law floor K_n^(1/(n-1)) (A/2)^((n-2)/(n-1)) as A grows.  The
+crossing is the one root of a decreasing function of log x.  It is
+seeded at the small-length crossing, bracketed by one step proved to
+reach or pass the root, and found by bracketed false position.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .quadrature import KernelValue, NonConvergenceError
-from .volume_kernel import _small_length_constant, volume_kernel
+from .volume_kernel import small_length_constant, volume_kernel
 
 __all__ = ["collar_volume_factor", "power_law_floor", "volume_bound", "BoundResult"]
 
@@ -102,24 +102,26 @@ def collar_volume_factor(n: int, r: float) -> float:
     return total
 
 
-def power_law_floor(n: int, area: float) -> float:
-    """Power-law floor (K_n * area / 2)^((n-2)/(n-1)) on the volume.
-
-    K_n is the small-length constant of the volume kernel.  The power is
-    taken in logs, so the floor stays finite where K_n underflows; it
-    reads 0 only where the floor itself does.
-    """
-    return math.exp(_log_power_law_floor(n, area))
-
-
-def _log_power_law_floor(n: int, area: float) -> float:
-    """log of power_law_floor(n, area), finite for n >= 3 and finite area > 0."""
+def _log_small_crossing(n: int, area: float) -> float:
+    """log x0, x0 = (K_n 2^(2-n) / area)^(1/(n-1)) where K_n (2x)^(2-n) meets area * x."""
     if n < 3:
         raise ValueError("dimension must be >= 3")
     if not area > 0.0:
         raise ValueError("area must be positive")
-    log_k = _small_length_constant(n)[1]
-    return (n - 2.0) / (n - 1.0) * (log_k + math.log(area) - _LOG2)
+    return (small_length_constant(n)[1] + (2.0 - n) * _LOG2 - math.log(area)) / (n - 1.0)
+
+
+def power_law_floor(n: int, area: float) -> tuple[float, float]:
+    """(floor, log floor), floor = area x0 = K_n^(1/(n-1)) (area/2)^((n-2)/(n-1)).
+
+    x0 is the small-length crossing that seeds volume_bound, so the floor
+    is the bound's limit as the area grows.  log floor, from log K_n, is
+    finite for every finite area > 0, also where K_n or the floor underflows.
+    """
+    if area == math.inf:
+        raise ValueError("area must be finite")
+    log_floor = _log_small_crossing(n, area) + math.log(area)
+    return math.exp(log_floor), log_floor
 
 
 class BoundResult(NamedTuple):
@@ -128,13 +130,15 @@ class BoundResult(NamedTuple):
     crossing_length: half-width x where kernel(2x) equals the collar
     volume area * collar_volume_factor(x).
     bound: kernel value at 2x, the certified volume lower bound.
-    power_law_floor(n, area) is the closed-form floor to compare with;
-    bound >= floor does not hold for every area, only the asymptotic
-    exponent matches.
+    log_bound: its log, the kernel's log_value, finite where bound
+    underflows.
+    power_law_floor(n, area) is the bound's limit as the area grows;
+    bound >= floor does not hold for every area.
     """
 
     crossing_length: float
     bound: float
+    log_bound: float
 
 
 def volume_bound(n: int, area: float) -> BoundResult:
@@ -166,13 +170,10 @@ def volume_bound(n: int, area: float) -> BoundResult:
     NonConvergenceError.  False position with the Anderson-Bjorck rule
     then keeps the bracket, so no step leaves it; about 6 kernel calls,
     the two bracket ends among them, pin t to 1e-15.
-    Kernel values and h are kept, so the returned bound is the one
-    computed at the returned crossing length.
+    Kernel values and h are kept, so the returned bound and its log are
+    the ones computed at the returned crossing length.
     """
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
-    if not area > 0.0:
-        raise ValueError("area must be positive")
+    t = min(max(_log_small_crossing(n, area), _LOG_BRACKET_LO), 0.0)
     log_area = math.log(area)
     # t -> (kernel at 2 e^t, h(t))
     memo: dict[float, tuple[KernelValue, float]] = {}
@@ -187,8 +188,6 @@ def volume_bound(n: int, area: float) -> BoundResult:
     # widest half-width: a solve tolerance inside the overflow of the
     # collar factor, which no root reaches for a double area
     t_hi = math.log(_LOG_DBL_MAX / (n - 1.0)) - _T_TOL
-    t = (_small_length_constant(n)[1] + (2.0 - n) * _LOG2 - log_area) / (n - 1.0)
-    t = min(max(t, _LOG_BRACKET_LO), 0.0)
     ht = h(t)
     while True:
         tol = _T_TOL + _T_RTOL * abs(t)
@@ -208,4 +207,5 @@ def volume_bound(n: int, area: float) -> BoundResult:
         raise NonConvergenceError(
             "collar crossing did not converge", math.exp(t_star), math.nan
         )
-    return BoundResult(math.exp(t_star), memo[t_star][0].value)
+    kv = memo[t_star][0]
+    return BoundResult(math.exp(t_star), kv.value, kv.log_value)

@@ -16,11 +16,11 @@ import csv
 import math
 import sys
 
-from .bounds import _log_power_law_floor, collar_volume_factor, volume_bound
+from .bounds import collar_volume_factor, power_law_floor, volume_bound
 from .inner_kernel import inner_kernel
 from .quadrature import NonConvergenceError
 from .spectrum import parse_spectrum, spectrum_volume
-from .volume_kernel import _small_length_constant, volume_kernel
+from .volume_kernel import small_length_constant, volume_kernel
 
 __all__ = ["build_parser", "main", "app"]
 
@@ -58,19 +58,18 @@ def cmd_mn(args: argparse.Namespace) -> int:
 
 def cmd_kn(args: argparse.Namespace) -> int:
     if args.dim is not None:
-        print(_fmt_log(*_small_length_constant(args.dim), args.digits))
+        print(_fmt_log(*small_length_constant(args.dim), args.digits))
     else:
         for n in range(3, 13):
-            print(n, _fmt_log(*_small_length_constant(n), args.digits))
+            print(n, _fmt_log(*small_length_constant(n), args.digits))
     return 0
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     res = volume_bound(args.dim, args.area)
     print("crossing_length", _fmt(res.crossing_length, args.digits))
-    print("bound", _fmt(res.bound, args.digits))
-    log_floor = _log_power_law_floor(args.dim, args.area)
-    print("power_floor", _fmt_log(math.exp(log_floor), log_floor, args.digits))
+    print("bound", _fmt_log(res.bound, res.log_bound, args.digits))
+    print("power_floor", _fmt_log(*power_law_floor(args.dim, args.area), args.digits))
     return 0
 
 
@@ -133,7 +132,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         ]
         if args.floor:
             # K_n l^(2-n) from its log, as l^(n-2) over- or underflows
-            log_floor = _small_length_constant(args.dim)[1] - (args.dim - 2) * math.log(l)
+            log_floor = small_length_constant(args.dim)[1] - (args.dim - 2) * math.log(l)
             floor = math.exp(log_floor) if log_floor < 709.0 else math.inf
             row.append(_fmt_log(floor, log_floor, args.digits))
         if args.collar is not None:

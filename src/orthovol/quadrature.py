@@ -42,10 +42,12 @@ class KernelValue(NamedTuple):
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised when an integral cannot meet its error target.
+    """Raised when a numerical solve cannot meet its target.
 
-    Carries the best value and error estimate seen so callers can
-    report them.
+    adaptive_quad raises it when an integral misses its error target,
+    and volume_bound when it cannot bracket the collar crossing or false
+    position does not converge on it.  Carries the best value and error
+    estimate seen (nan where there is none) so callers can report them.
     """
 
     def __init__(self, message: str, value: float, err_estimate: float):

@@ -21,7 +21,7 @@ from .inner_kernel import inner_kernel
 from .quadrature import KernelValue, adaptive_quad
 from .special import harmonic, rogers_l
 
-__all__ = ["volume_kernel", "surface_kernel", "small_length_constant"]
+__all__ = ["volume_kernel", "small_length_constant"]
 
 # even n sums the t-series from l = ln 2 / 2 (t = e^(-2l) <= 1/2) on
 _SERIES_CUT = 0.5 * math.log(2.0)
@@ -121,18 +121,6 @@ def volume_kernel_alt(n: int, l: float) -> KernelValue:
     return KernelValue(prefactor * value, prefactor * err, _log_of(prefactor * value))
 
 
-def surface_kernel(l: float) -> float:
-    """Closed-form kernel for n = 2: (4/pi) L(sech^2(l/2)).
-
-    L is the Rogers dilogarithm; the value decreases from 2 pi / 3 at
-    l = 0+ to 0 and gives boundary area when summed over the spectrum.
-    """
-    if not l > 0.0:
-        raise ValueError("length must be positive")
-    sech2 = 1.0 / math.cosh(0.5 * l) ** 2
-    return 4.0 / math.pi * rogers_l(sech2)
-
-
 @cache
 def _coef_rational(n: int) -> tuple[int, int, int]:
     """(num, den, p) with coef_n = num / den pi^p, for every n >= 3.
@@ -156,22 +144,18 @@ def _c_rational(n: int) -> tuple[int, int, int]:
 
 
 @cache
-def _small_length_constant(n: int) -> tuple[float, float]:
-    """(K_n, log K_n) from exact integers: K_n = c H_(n-2) / 2^(n-2), H_(n-2) = h / d."""
+def small_length_constant(n: int) -> tuple[float, float]:
+    """(K_n, log K_n), K_n the coefficient of l^(2-n) in the kernel's small-length law.
+
+    2 pi^((n-3)/2) H_(n-2) Gamma(n/2 + 1) Gamma(n/2 - 1) / (n Gamma((n+1)/2)
+    Gamma(n-1)), the s-series' limit c H_(n-2) / 2^(n-2), H_(n-2) = h / d,
+    from exact integers: K_n is normal up to n = 326 (K_326 ~ 3e-308) and
+    0 from n = 340, where log K_n still holds its size."""
     if n < 3:
         raise ValueError("dimension must be >= 3")
     num, den, p = _c_rational(n)
     h, d = harmonic(n - 2)
     return _pi_rational(num * h, den * d << (n - 2), p)
-
-
-def small_length_constant(n: int) -> float:
-    """Coefficient K_n of l^(2-n) in the kernel's small-length law.
-
-    2 pi^((n-3)/2) H_(n-2) Gamma(n/2 + 1) Gamma(n/2 - 1) / (n Gamma((n+1)/2)
-    Gamma(n-1)), the s-series' limit c H_(n-2) / 2^(n-2), from exact
-    integers: normal up to n = 326 (K_326 ~ 3e-308), 0 from n = 340."""
-    return _small_length_constant(n)[0]
 
 
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
@@ -441,14 +425,17 @@ def _s_kernel(n: int, l: float) -> KernelValue:
 def volume_kernel(n: int, l: float) -> KernelValue:
     """Volume kernel for any dimension n >= 2.
 
-    n = 2 is the closed form with zero error estimate.  Every n >= 3 sums
-    its dimension's one table (_s_kernel): odd n the s-series at every
-    length, even n the s-series below l = ln 2 / 2 and the t-series from
-    there on, with a relative estimate of a few eps times n, the term
+    n = 2 is the closed form (4/pi) L(sech^2(l/2)), L the Rogers
+    dilogarithm, with zero error estimate; it falls from 2 pi / 3 at
+    l = 0+ and sums to the boundary area over the spectrum.  Every n >= 3
+    sums its dimension's one table (_s_kernel): odd n the s-series at
+    every length, even n the s-series below l = ln 2 / 2 and the t-series
+    from there on, with a relative estimate of a few eps times n, the term
     count or (n-1) l; value is 0 or inf only where F under- or overflows,
     and log_value holds F there."""
     _check_kernel_args(n, l, least_n=2)
     if n == 2:
-        value = surface_kernel(l)
+        sech2 = 1.0 / math.cosh(0.5 * l) ** 2
+        value = 4.0 / math.pi * rogers_l(sech2)
         return KernelValue(value, 0.0, _log_of(value))
     return _s_kernel(n, l)

@@ -219,7 +219,7 @@ def inner_kernel_integral(
 def surface_kernel_integral(
     l: float, rel_tol: float = 1e-9, limit: int = 2000
 ) -> KernelValue:
-    """Double-integral form of surface_kernel.
+    """Double-integral form of the n = 2 kernel, volume_kernel(2, l).
 
     (2/pi) int_(-1)^1 int_a^inf log_cross(u, v) / (v - u)^2 dv du with
     a = e^l, the same positively-oriented log cross ratio as the inner

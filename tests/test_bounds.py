@@ -20,7 +20,7 @@ from orthovol import (
     volume_kernel,
 )
 from orthovol.bounds import _LOG_BRACKET_LO, _LOG_DBL_MAX, _T_TOL, _collar_weights
-from orthovol.volume_kernel import _small_length_constant
+from orthovol.volume_kernel import small_length_constant
 
 EPS = sys.float_info.epsilon
 
@@ -129,12 +129,12 @@ def test_collar_factor_bit_identical_to_the_big_integer_sum(n, r):
 
 def test_power_law_floor_values():
     # (K_3 * 4 pi / 2)^(1/2) collapses to pi exactly
-    assert power_law_floor(3, 4.0 * math.pi) == pytest.approx(math.pi, rel=1e-12)
-    assert power_law_floor(4, 10.0) == pytest.approx(5.0 ** (2.0 / 3.0), rel=1e-12)
+    assert power_law_floor(3, 4.0 * math.pi)[0] == pytest.approx(math.pi, rel=1e-12)
+    assert power_law_floor(4, 10.0)[0] == pytest.approx(5.0 ** (2.0 / 3.0), rel=1e-12)
 
 
 def test_power_law_floor_small_area():
-    assert 0.0 < power_law_floor(3, 1e-12) < 1e-5
+    assert 0.0 < power_law_floor(3, 1e-12)[0] < 1e-5
 
 
 def test_power_law_floor_validation():
@@ -142,6 +142,18 @@ def test_power_law_floor_validation():
         power_law_floor(2, 1.0)
     with pytest.raises(ValueError):
         power_law_floor(3, 0.0)
+    with pytest.raises(ValueError):
+        power_law_floor(3, math.inf)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 20])
+def test_power_law_floor_is_the_bound_at_large_area(n):
+    # the floor is area x0, x0 the small-length crossing, so bound / floor
+    # is 1 + O(x^2): 3.4e-12 at n = 20, where x = 1.2e-6
+    res = volume_bound(n, 1e100)
+    floor, log_floor = power_law_floor(n, 1e100)
+    assert abs(res.bound / floor - 1.0) <= 1e-11
+    assert abs(res.log_bound - log_floor) <= 1e-11
 
 
 def test_volume_bound_sphere_area():
@@ -236,7 +248,7 @@ def test_small_length_law_never_rises(n, log_l):
     l1, l2 = sorted(math.exp(t) for t in log_l)
     g1, tol1 = log_g(l1)
     g2, tol2 = log_g(l2)
-    log_k = _small_length_constant(n)[1]
+    log_k = small_length_constant(n)[1]
     assert g2 <= g1 + tol1 + tol2
     assert g1 <= log_k + tol1 + 4.0 * EPS * max(1.0, abs(log_k))
 
@@ -357,7 +369,7 @@ def test_volume_bound_past_the_gamma_overflow(n, area):
     res = volume_bound(n, area)
     right = area * collar_volume_factor(n, res.crossing_length)
     assert abs(res.bound / right - 1.0) <= 6e-13
-    assert math.isfinite(power_law_floor(n, area))
+    assert all(map(math.isfinite, power_law_floor(n, area)))
 
 
 def test_volume_bound_tiny_area_takes_no_log_of_zero():

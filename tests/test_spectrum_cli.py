@@ -154,7 +154,7 @@ def test_cli_mn_lost_closed_form_exits_two(capsys, n, b):
 def test_cli_kn_single(capsys):
     assert main(["kn", "-n", "5"]) == 0
     out = capsys.readouterr().out.strip()
-    assert float(out) == small_length_constant(5)
+    assert float(out) == small_length_constant(5)[0]
 
 
 def test_cli_kn_past_the_gamma_overflow(capsys):
@@ -179,12 +179,27 @@ def test_cli_kn_below_the_normal_range(n, capsys):
 
 
 def test_cli_bound_floor_below_the_normal_range(capsys):
-    # (K_401 / 2)^(399/400) ~ 3.4e-396 underflows: power_floor printed 0
+    # K_401 ~ 1e-398 underflows, but the floor K_401^(1/400) (1/2)^(399/400)
+    # ~ 0.0512, the bound's limit as the area grows, is formed in logs and
+    # prints below the bound, 0.0616
     assert main(["bound", "-n", "401", "-A", "1"]) == 0
     fields = dict(line.split() for line in capsys.readouterr().out.splitlines())
     with mpmath.workdps(40):
-        want = (small_length_constant_mp(401) / 2) ** (mpmath.mpf(399) / 400)
+        want = (small_length_constant_mp(401) / mpmath.mpf(2) ** 399) ** (mpmath.mpf(1) / 400)
         assert abs(mpmath.mpf(fields["power_floor"]) - want) <= 1e-12 * want
+    assert want < float(fields["bound"])
+
+
+def test_cli_bound_below_the_normal_range(capsys):
+    # the kernel at 2x underflows, so the bound prints from its log, not
+    # as 0 (or, at n = 400, as a subnormal with few digits)
+    assert main(["bound", "-n", "2001", "-A", "5e-324"]) == 0
+    fields = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    x = float(fields["crossing_length"])
+    log_value = volume_kernel(2001, 2.0 * x).log_value
+    printed = mpmath.mpf(fields["bound"])
+    assert printed > 0
+    assert abs(mpmath.log(printed) - log_value) <= 4 * sys.float_info.epsilon * abs(log_value)
 
 
 @pytest.mark.parametrize("argv", [
@@ -330,7 +345,7 @@ def test_cli_table_optional_columns(tmp_path):
                       "collar_volume"]
     first = lines[1].split(",")
     assert float(first[3]) == pytest.approx(
-        small_length_constant(3) / 0.5, rel=1e-14
+        small_length_constant(3)[0] / 0.5, rel=1e-14
     )
 
 

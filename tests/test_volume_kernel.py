@@ -17,11 +17,7 @@ from oracles import (
     surface_kernel_integral,
     volume_kernel_montecarlo,
 )
-from orthovol import (
-    NonConvergenceError,
-    surface_kernel,
-    volume_kernel,
-)
+from orthovol import NonConvergenceError, volume_kernel
 from orthovol.quadrature import _ABS_TOL, _REL_TOL
 from orthovol.volume_kernel import (
     _SERIES_CUT,
@@ -160,7 +156,7 @@ def test_chord_length_nd_rotation_invariant():
 def test_surface_kernel_special_point():
     # At l = 2 arccosh(sqrt 2) the closed form collapses to pi/3.
     lstar = 2.0 * math.acosh(math.sqrt(2.0))
-    assert surface_kernel(lstar) == pytest.approx(math.pi / 3.0, abs=1e-12)
+    assert volume_kernel(2, lstar).value == pytest.approx(math.pi / 3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("l,tol", [(0.1, 1e-6), (1.0, 1e-6), (3.0, 1e-8)])
@@ -170,13 +166,13 @@ def test_surface_kernel_matches_integral(l, tol):
     # understate, but here the errors are 5.4e-14, 1.4e-15 and 1.2e-16
     # against estimates of 1.6e-10, 4.7e-11 and 5.0e-11
     got = surface_kernel_integral(l, rel_tol=1e-9)
-    assert got.value == pytest.approx(surface_kernel(l), rel=tol)
+    assert got.value == pytest.approx(volume_kernel(2, l).value, rel=tol)
     (want,) = [p["value"] for p in POINTS if (p["n"], p["l"]) == (2, l)]
     assert abs(Fraction(got.value) - Fraction(want)) <= got.err_estimate
 
 
 def test_surface_kernel_strictly_decreasing():
-    vals = [surface_kernel(0.05 * k) for k in range(1, 101)]
+    vals = [volume_kernel(2, 0.05 * k).value for k in range(1, 101)]
     assert all(v > 0.0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -204,9 +200,7 @@ def test_dispatcher_routes(monkeypatch):
     # continuous across the cut within them, where the t-series alone
     # serves the cut.
     module = importlib.import_module("orthovol.volume_kernel")
-    kv2 = volume_kernel(2, 1.0)
-    assert kv2.value == surface_kernel(1.0)
-    assert kv2.err_estimate == 0.0
+    assert volume_kernel(2, 1.0).err_estimate == 0.0
     below = math.nextafter(_SERIES_CUT, 0.0)
     for l in (1e-3, 0.1, below):
         assert volume_kernel(4, l) == module._s_kernel(4, l)

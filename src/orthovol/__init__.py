@@ -12,9 +12,9 @@ from .bounds import (
     volume_bound,
 )
 from .inner_kernel import inner_kernel
-from .quadrature import KernelValue, NonConvergenceError
+from .quadrature import NonConvergenceError
 from .spectrum import SpectrumFormatError, parse_spectrum, spectrum_volume
-from .volume_kernel import small_length_constant, volume_kernel
+from .volume_kernel import KernelValue, small_length_constant, volume_kernel
 
 __version__ = "0.1.0"
 

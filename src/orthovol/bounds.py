@@ -6,9 +6,9 @@ twice the half-width caps how much volume a single orthogeodesic can
 certify, and the crossing point of the two curves yields a volume
 bound depending only on dimension and boundary area, which tends to
 the power-law floor K_n^(1/(n-1)) (A/2)^((n-2)/(n-1)) as A grows.  The
-crossing is the one root of a decreasing function of log x.  It is
-seeded at the small-length crossing, bracketed by one step proved to
-reach or pass the root, and found by bracketed false position.
+crossing is the one root of a decreasing function of log x, on one
+fixed bracket of widths that the small-length crossing and one step
+from it narrow, found by bracketed false position.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import sys
 from functools import cache
 from typing import NamedTuple
 
-from .quadrature import KernelValue, NonConvergenceError
-from .volume_kernel import small_length_constant, volume_kernel
+from .quadrature import NonConvergenceError
+from .volume_kernel import KernelValue, small_length_constant, volume_kernel
 
 __all__ = ["collar_volume_factor", "power_law_floor", "volume_bound", "BoundResult"]
 
@@ -34,25 +34,27 @@ _T_RTOL = 8.9e-16
 _MAXITER = 100
 
 
-def _false_position(f, a, b, xtol, rtol):
-    """Root of f on a bracket a < b with f(a) > 0 >= f(b): (root, converged).
+def _false_position(f, a, b):
+    """Root of f on a bracket a < b with f(a) > 0 >= f(b), to _T_TOL + _T_RTOL |t|.
 
     False position with the Anderson-Bjorck rule (BIT 13, 1973): each
     step takes the secant point of the two ends, at least
-    delta = (xtol + rtol |t|) / 2 inside the bracket, so the bracket
+    delta = (_T_TOL + _T_RTOL |t|) / 2 inside the bracket, so the bracket
     shrinks every step.  When a step moves the same end as the step
     before, or is the first, the end it leaves stale has its weight g
     scaled by m = 1 - f_new / f_old, or by 1/2 if m <= 0, so that end
     pulls the next secant point towards it.  Stops once the bracket is
     narrower than 2 delta and returns the end with the smaller |f|.
+    After _MAXITER steps it raises NonConvergenceError with the width
+    e^t of that end, t being log x in volume_bound.
     """
     fa, fb = f(a), f(b)
     ga, gb, side = fa, fb, 0
     for _ in range(_MAXITER):
         t = b - gb * (b - a) / (gb - ga)
-        delta = (xtol + rtol * abs(t)) / 2
+        delta = (_T_TOL + _T_RTOL * abs(t)) / 2
         if b - a < 2 * delta:
-            return (a if abs(fa) < abs(fb) else b), True
+            return a if abs(fa) < abs(fb) else b
         t = min(max(t, a + delta), b - delta)
         ft = f(t)
         if ft > 0.0:
@@ -65,7 +67,8 @@ def _false_position(f, a, b, xtol, rtol):
                 m = 1.0 - ft / fb
                 ga *= m if m > 0.0 else 0.5
             b, fb, gb, side = t, ft, ft, 1
-    return (a if abs(fa) < abs(fb) else b), False
+    best = a if abs(fa) < abs(fb) else b
+    raise NonConvergenceError("collar crossing did not converge", math.exp(best), math.nan)
 
 
 @cache
@@ -104,10 +107,8 @@ def collar_volume_factor(n: int, r: float) -> float:
 
 def _log_small_crossing(n: int, area: float) -> float:
     """log x0, x0 = (K_n 2^(2-n) / area)^(1/(n-1)) where K_n (2x)^(2-n) meets area * x."""
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
-    if not area > 0.0:
-        raise ValueError("area must be positive")
+    if not 0.0 < area < math.inf:
+        raise ValueError("area must be positive and finite")
     return (small_length_constant(n)[1] + (2.0 - n) * _LOG2 - math.log(area)) / (n - 1.0)
 
 
@@ -118,8 +119,6 @@ def power_law_floor(n: int, area: float) -> tuple[float, float]:
     is the bound's limit as the area grows.  log floor, from log K_n, is
     finite for every finite area > 0, also where K_n or the floor underflows.
     """
-    if area == math.inf:
-        raise ValueError("area must be finite")
     log_floor = _log_small_crossing(n, area) + math.log(area)
     return math.exp(log_floor), log_floor
 
@@ -152,26 +151,23 @@ def volume_bound(n: int, area: float) -> BoundResult:
     at 0 and the right side grows from 0, so h is strictly decreasing
     and the crossing is unique.
 
-    The seed is the small-length crossing x0 = (K_n 2^(2-n) / area)^(1/(n-1)),
-    where K_n (2x)^(2-n) meets area * x, clamped into [1e-300, 1].  One
-    step t1 = t0 + h(t0) / (n-1) from it lands at or past the root, on
-    either side: G(l) = l^(n-2) F_n(l) never increases from K_n (for
-    n = 3 it is pi l (1 + l) / (e^(2l) - 1)) and x <=
-    collar_volume_factor(x) <= x cosh^(n-1)(x), so h' <= -(n-1), and an
-    unclamped seed lies at or above the root.  The step is at least the
-    solve tolerance, so a residual at rounding level still moves it, and
-    is clamped to widths from 1e-300 up to a solve tolerance below the
-    width where (n-1) x reaches log(DBL_MAX) and the collar factor
-    overflows.  Far from the root h falls about 3 (n-1) x per unit t, so
-    the step can overshoot by far, but no root reaches that width: there
-    area = kernel / collar lies far below the least double.  Should
-    rounding leave h with one sign at both points, the step repeats from
-    the new one, and a step that cannot leave a limit raises
-    NonConvergenceError.  False position with the Anderson-Bjorck rule
-    then keeps the bracket, so no step leaves it; about 6 kernel calls,
-    the two bracket ends among them, pin t to 1e-15.
-    Kernel values and h are kept, so the returned bound and its log are
-    the ones computed at the returned crossing length.
+    The root lies between widths 1e-300 and a solve tolerance below
+    where (n-1) x reaches log(DBL_MAX) and the collar factor overflows:
+    h > 0 at the one and h < 0 at the other for every finite area > 0.
+    Two points narrow this bracket, each replacing the end on its side:
+    the small-length crossing x0 = (K_n 2^(2-n) / area)^(1/(n-1)), where
+    K_n (2x)^(2-n) meets area * x, clamped into [1e-300, 1], and one
+    step t1 = t0 + h(t0) / (n-1) from it, at least the solve tolerance
+    and clamped into the bracket.  The step lands at or past the root:
+    G(l) = l^(n-2) F_n(l) never increases from K_n (for n = 3 it is
+    pi l (1 + l) / (e^(2l) - 1)) and x <= collar_volume_factor(x) <=
+    x cosh^(n-1)(x), so h' <= -(n-1), and an unclamped seed lies at or
+    above the root.  False position with the Anderson-Bjorck rule then
+    keeps the bracket; about 6 kernel calls, the two points among them,
+    pin t to 1e-15.  Ends that do not straddle the root raise
+    NonConvergenceError.  Kernel values and h are kept, so the returned
+    bound and its log are the ones computed at the returned crossing
+    length.
     """
     t = min(max(_log_small_crossing(n, area), _LOG_BRACKET_LO), 0.0)
     log_area = math.log(area)
@@ -185,27 +181,19 @@ def volume_bound(n: int, area: float) -> BoundResult:
             memo[t] = kv, kv.log_value - log_area - math.log(collar_volume_factor(n, x))
         return memo[t][1]
 
-    # widest half-width: a solve tolerance inside the overflow of the
-    # collar factor, which no root reaches for a double area
+    # widest half-width: a solve tolerance inside the collar's overflow
     t_hi = math.log(_LOG_DBL_MAX / (n - 1.0)) - _T_TOL
     ht = h(t)
-    while True:
-        tol = _T_TOL + _T_RTOL * abs(t)
-        step = max(ht / (n - 1.0), tol) if ht > 0.0 else min(ht / (n - 1.0), -tol)
-        t1 = min(max(t + step, _LOG_BRACKET_LO), t_hi)
-        if t1 == t:
-            where = "below the collar's overflow width" if ht > 0.0 else "from below"
-            raise NonConvergenceError(
-                f"could not bracket the collar crossing {where}", math.nan, math.nan
-            )
-        if (h(t1) > 0.0) != (ht > 0.0):
-            break
-        t, ht = t1, h(t1)
-    lo, hi = (t, t1) if ht > 0.0 else (t1, t)
-    t_star, converged = _false_position(h, lo, hi, _T_TOL, _T_RTOL)
-    if not converged:
-        raise NonConvergenceError(
-            "collar crossing did not converge", math.exp(t_star), math.nan
-        )
-    kv = memo[t_star][0]
-    return BoundResult(math.exp(t_star), kv.value, kv.log_value)
+    tol = _T_TOL + _T_RTOL * abs(t)
+    step = max(ht / (n - 1.0), tol) if ht > 0.0 else min(ht / (n - 1.0), -tol)
+    lo, hi = _LOG_BRACKET_LO, t_hi
+    for s in (t, min(max(t + step, _LOG_BRACKET_LO), t_hi)):
+        if h(s) > 0.0:
+            lo = s
+        else:
+            hi = s
+    if not h(lo) > 0.0 >= h(hi):
+        raise NonConvergenceError("could not bracket the collar crossing", math.nan, math.nan)
+    t = _false_position(h, lo, hi)
+    kv = memo[t][0]
+    return BoundResult(math.exp(t), kv.value, kv.log_value)

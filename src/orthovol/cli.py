@@ -22,7 +22,7 @@ from .quadrature import NonConvergenceError
 from .spectrum import parse_spectrum, spectrum_volume
 from .volume_kernel import small_length_constant, volume_kernel
 
-__all__ = ["build_parser", "main", "app"]
+__all__ = ["build_parser", "main"]
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -74,6 +74,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_sum(args: argparse.Namespace) -> int:
+    if args.cutoff is not None and not args.cutoff > 0.0:
+        raise ValueError("cutoff must be positive")
     with open(args.spectrum, "r", encoding="utf-8") as fh:
         text = fh.read()
     entries = parse_spectrum(text)
@@ -116,6 +118,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError("need at least 2 steps")
     if not 0.0 < args.lmin < args.lmax:
         raise ValueError("need 0 < lmin < lmax")
+    if args.collar is not None and not 0.0 < args.collar < math.inf:
+        raise ValueError("area must be positive and finite")
     grid = _length_grid(args.lmin, args.lmax, args.steps, args.scale)
     header = ["l", "kernel", "err_estimate"]
     if args.floor:
@@ -238,10 +242,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-
-
-def app() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Kernel result types and the adaptive quadrature behind the tests' references.
+"""The solvers' error type, and the adaptive quadrature behind the tests' references.
 
 volume_kernel sums series and integrates nothing; the inner kernel's
 integral, kept in two parametrizations as the series' reference, runs
@@ -16,29 +16,15 @@ as an exception instead of a warning.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
-__all__ = ["KernelValue", "NonConvergenceError", "adaptive_quad"]
+__all__ = ["NonConvergenceError", "adaptive_quad"]
 
 # the error target, max(_ABS_TOL, _REL_TOL |value|) on the scaled
 # result, and the most pieces QUADPACK may hold
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-12
 _MAX_SUBDIVISIONS = 2000
-
-
-class KernelValue(NamedTuple):
-    """Numerical kernel value, its error estimate and its logarithm.
-
-    log_value is log(value) wherever value is a normal double.  Where the
-    kernel underflows, value is a subnormal or 0, and where it overflows
-    value and err_estimate are inf; log_value still holds the kernel's
-    size.
-    """
-
-    value: float
-    err_estimate: float
-    log_value: float
 
 
 class NonConvergenceError(RuntimeError):

@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 import sys
 from functools import cache
+from typing import NamedTuple
 
 from .inner_kernel import inner_kernel
-from .quadrature import KernelValue, adaptive_quad
+from .quadrature import adaptive_quad
 from .special import harmonic, rogers_l
 
-__all__ = ["volume_kernel", "small_length_constant"]
+__all__ = ["KernelValue", "volume_kernel", "small_length_constant"]
 
 # even n sums the t-series from l = ln 2 / 2 (t = e^(-2l) <= 1/2) on
 _SERIES_CUT = 0.5 * math.log(2.0)
@@ -33,6 +34,20 @@ _BUILD_TAIL = 2.0 ** -60
 _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 _LOG_MAX = math.log(sys.float_info.max)
+
+
+class KernelValue(NamedTuple):
+    """Numerical kernel value, its error estimate and its logarithm.
+
+    log_value is log(value) wherever value is a normal double.  Where the
+    kernel underflows, value is a subnormal or 0, and where it overflows
+    value and err_estimate are inf; log_value still holds the kernel's
+    size.
+    """
+
+    value: float
+    err_estimate: float
+    log_value: float
 
 
 def _log_of(value: float) -> float:

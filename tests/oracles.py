@@ -2,8 +2,10 @@
 
 None of this is on the production path, and the library never imports
 it.  The two integral oracles evaluate the defining double integrals
-with scipy's QUADPACK wrapper, so they share no code with the built-in
-integrator; the Monte Carlo sampler shares no code with any quadrature.
+with scipy's QUADPACK on a pure relative target.  The library's
+adaptive_quad wraps the same QUADPACK routine, so they share that engine,
+but not its integrands, its error target or the inner kernel.  The Monte
+Carlo sampler shares no code with any quadrature.
 The chord lengths are the geometric ingredient of the kernels, and the
 dimension-3 and dimension-4 specializations of the inner kernel are
 shorter closed forms that the general one is checked against.
@@ -17,7 +19,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from orthovol.inner_kernel import _check_ratio
-from orthovol.quadrature import KernelValue, NonConvergenceError
+from orthovol.quadrature import NonConvergenceError
+from orthovol.volume_kernel import KernelValue
 
 
 def _quad(f, lo, hi, rel_tol, limit, points=None):

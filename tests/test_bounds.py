@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 from orthovol import (
     BoundResult,
+    KernelValue,
     NonConvergenceError,
     collar_volume_factor,
     power_law_floor,
@@ -303,7 +304,7 @@ def test_volume_bound_first_step_brackets(monkeypatch):
 def test_false_position_on_a_bracket(f, lo, hi, root, max_calls):
     # roots from 40-digit mpmath solves of the same double-precision
     # functions
-    from orthovol.bounds import _T_RTOL, _T_TOL, _false_position
+    from orthovol.bounds import _T_RTOL, _false_position
 
     calls = []
 
@@ -311,8 +312,7 @@ def test_false_position_on_a_bracket(f, lo, hi, root, max_calls):
         calls.append(t)
         return f(t)
 
-    t, converged = _false_position(counted, lo, hi, _T_TOL, _T_RTOL)
-    assert converged
+    t = _false_position(counted, lo, hi)
     assert abs(t - root) <= _T_TOL + _T_RTOL * abs(root)
     assert all(lo <= c <= hi for c in calls)
     assert len(calls) <= max_calls
@@ -422,11 +422,38 @@ def test_volume_bound_validation():
         volume_bound(3, -4.0)
     with pytest.raises(ValueError):
         volume_bound(3, float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        volume_bound(3, math.inf)
 
 
-def test_volume_bound_bracket_failure():
-    with pytest.raises(NonConvergenceError):
-        volume_bound(3, float("inf"))
+def test_volume_bound_bracket_failure(monkeypatch):
+    # a kernel whose log gap h keeps one sign over the whole bracket: the
+    # step from the seed clamps to the bracket end on the far side, so
+    # the guard reads two cached points and raises
+    calls = []
+    for log_value in (1e4, -1e4):
+        calls.clear()
+        kv = KernelValue(math.exp(min(log_value, 0.0)), 0.0, log_value)
+        monkeypatch.setattr("orthovol.bounds.volume_kernel", lambda n, l: calls.append(l) or kv)
+        with pytest.raises(NonConvergenceError, match="could not bracket"):
+            volume_bound(3, 1.0)
+        assert len(calls) == 2
+
+
+def test_false_position_raises_past_its_step_limit():
+    # a jump whose lower side is at rounding level pins the secant point
+    # one least step inside the top end, so the bracket never closes
+    from orthovol.bounds import _MAXITER, _false_position
+
+    calls = []
+
+    def jump(t):
+        calls.append(t)
+        return 1.0 if t < 0.3 else -1e-300
+
+    with pytest.raises(NonConvergenceError, match="did not converge"):
+        _false_position(jump, -700.0, 700.0)
+    assert len(calls) == _MAXITER + 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 60, 600, 1001, 2000])

@@ -13,6 +13,7 @@ from gen_kernel_reference import kernel as series_kernel_mp
 from test_constants import small_length_constant_mp
 
 from orthovol import (
+    KernelValue,
     SpectrumFormatError,
     collar_volume_factor,
     inner_kernel,
@@ -21,7 +22,7 @@ from orthovol import (
     spectrum_volume,
     volume_kernel,
 )
-from orthovol.cli import _length_grid, main
+from orthovol.cli import _fmt_log, _length_grid, main
 from orthovol.volume_kernel import _SERIES_CUT
 
 SAMPLE = """\
@@ -357,6 +358,46 @@ def test_cli_exit_code_bad_values(capsys):
     assert main(["mn", "-n", "3", "-b", "inf"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    assert main(["bound", "-n", "3", "-A", "inf"]) == 2
+    assert "area must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("collar", ["nan", "inf", "-1", "0"])
+def test_cli_table_rejects_collar_area_out_of_range(collar, capsys):
+    # the collar column takes the bound's area rule; it printed nan, inf
+    # or negative volumes
+    argv = ["table", "-n", "3", "--lmin", "0.1", "--lmax", "1", "--steps", "2"]
+    assert main(argv + ["--collar", collar]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "area must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("grid", [
+    ["--lmin", "0.1", "--lmax", "1", "--steps", "1"],
+    ["--lmin", "1", "--lmax", "1"],
+    ["--lmin", "2", "--lmax", "1"],
+])
+def test_cli_table_rejects_bad_grid(grid, capsys):
+    assert main(["table", "-n", "3", *grid]) == 2
+    assert "error: need" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cutoff", ["nan", "0", "-1"])
+def test_cli_sum_rejects_cutoff_out_of_range(cutoff, tmp_path, capsys):
+    # such a cutoff dropped every entry and printed 0 0
+    spectrum = tmp_path / "spectrum.txt"
+    spectrum.write_text(SAMPLE)
+    assert main(["sum", "-n", "3", str(spectrum), "--cutoff", cutoff]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cutoff must be positive" in captured.err
+
+
+def test_fmt_log_carries_a_rounded_mantissa():
+    # 9.999e-400 rounds to 10 at 3 digits: the exponent takes the carry
+    log_value = math.log(9.999) - 400.0 * math.log(10.0)
+    assert _fmt_log(0.0, log_value, 3) == "1e-399"
 
 
 def test_cli_fn_underflowing_kernel_prints_log_value(capsys):
@@ -432,11 +473,13 @@ def test_cli_rejects_negative_digits(capsys):
     assert main(["fn", "-n", "3", "-l", "1", "--digits", "0"]) == 0
 
 
-def test_cli_exit_code_non_convergence(capsys):
-    # no kernel value integrates; an infinite area leaves the bound's
-    # crossing unbracketed
-    assert main(["bound", "-n", "3", "-A", "inf"]) == 3
-    assert "error:" in capsys.readouterr().err
+def test_cli_exit_code_non_convergence(capsys, monkeypatch):
+    # no kernel value integrates and every finite area brackets; a kernel
+    # whose log gap never changes sign leaves the crossing unbracketed
+    kv = KernelValue(math.inf, math.inf, 1e4)
+    monkeypatch.setattr("orthovol.bounds.volume_kernel", lambda n, l: kv)
+    assert main(["bound", "-n", "3", "-A", "1"]) == 3
+    assert "could not bracket" in capsys.readouterr().err
 
 
 def test_cli_bound_tiny_area_exits_zero(capsys):

@@ -128,7 +128,10 @@ class BoundResult(NamedTuple):
 
     crossing_length: half-width x where kernel(2x) equals the collar
     volume area * collar_volume_factor(x).
-    bound: kernel value at 2x, the certified volume lower bound.
+    bound: kernel value at 2x, the paper's volume lower bound as
+    computed; nothing yet certifies on which side of the true crossing x
+    falls, so rounding in the solve or the kernel may put it above the
+    true bound (ROADMAP item 6).
     log_bound: its log, the kernel's log_value, finite where bound
     underflows.
     power_law_floor(n, area) is the bound's limit as the area grows;

@@ -4,7 +4,8 @@ harmonic gives H_k exactly as two integers, which every per-dimension
 table reads (volume_kernel builds its gamma constants from exact
 integers too); truncated_log is the logarithm series cut after n terms,
 of which the inner kernel's closed form is made; rogers_l is the Rogers
-dilogarithm of the n = 2 kernel.
+dilogarithm of the n = 2 kernel, Li_2 in eight fixed Bernoulli terms of
+u = -log(1 - y) on y <= 1/2 and its reflection above.
 """
 
 from __future__ import annotations
@@ -13,6 +14,13 @@ import math
 from functools import cache
 
 __all__ = ["harmonic", "truncated_log", "rogers_l"]
+
+# B_2j / (2j+1)!, j = 1..8, from exact integers so each is correctly rounded
+_LI2_COEFFS = (
+    1 / 36, -1 / 3600, 1 / 211680, -1 / 10886400, 1 / 526901760,
+    -691 / 16999766784000, 1 / 1120863744000, -3617 / 181400588328960000,
+)
+_PI2_6 = math.pi**2 / 6.0
 
 
 @cache
@@ -67,22 +75,43 @@ def truncated_log(n: int, x: float, log_one_minus: float) -> float:
 def rogers_l(x: float) -> float:
     """Rogers dilogarithm L(x) = Li_2(x) + log(x) log(1-x) / 2 on [0, 1].
 
-    Li_2's series sum x^k/k^2 for x <= 1/2, and the reflection
-    L(x) = pi^2/6 - L(1-x) above (Zagier, The Dilogarithm Function,
-    2007), with 1 - x exact there.  L(0) = 0 and L(1) = pi^2/6 exactly;
-    the log product has a removable limit of 0 at both ends.
+    For y = min(x, 1 - x) <= 1/2, Li_2 is the Bernoulli series in
+    u = -log(1 - y) = -log1p(-y),
+    Li_2(y) = u - u^2/4 + sum_j B_2j u^(2j+1) / (2j+1)!,
+    cut after B_16 and summed as one fixed Horner polynomial in w = u^2.
+    Its terms shrink like (u / 2 pi)^2, and u <= log 2, where the first
+    omitted term, B_18 (log 2)^19 / 19!, is 0.0033 eps of Li_2(1/2)
+    (eps = 2^-52).  Above 1/2 the reflection L(x) = pi^2/6 - L(1-x)
+    (Zagier, The Dilogarithm Function, 2007) takes over, with 1 - x exact
+    there.  L(0) = 0 and L(1) = pi^2/6 exactly; the log product has a
+    removable limit of 0 at both ends.
+
+    Bound, against L formed at the same double 1.0 - y, with libm's logs
+    within 1 ulp: u is within 1 eps, and Li_2's relative condition in u,
+    u^2 (1 - y) / (y Li_2), is at most 1; the Horner sum adds under
+    1.2 eps (u - u^2/4 >= 0.82 u), so Li_2 is within 2.2 eps.  The
+    product's two logs and its one rounding put it within 2.5 eps; both
+    parts are positive, so with the final sum L is within 3 eps on
+    x <= 1/2.  Above 1/2, L(1-x) <= L(x) and L(x) >= pi^2/12, so the
+    reflection is within 3 + 0.61 (pi^2/6 rounded) + 0.5 = 4.2 eps.
+
+    The product still forms log(1.0 - y), whose rounding of 1 - y is the
+    n = 2 drift at large l: against L at y itself it costs up to about
+    1 / (4y) eps, all of L as y falls below eps.  Taking that log from u
+    mends it, but moves n = 2 values that the benchmark's frozen reference
+    scores as right, so it waits for that reference's regeneration
+    (ROADMAP items 1 and 2; CHANGES.md FOUND on perfbench/reference.json
+    at (2, 214.898)).
     """
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         raise ValueError("rogers_l implemented on [0, 1] only")
     y = min(x, 1.0 - x)
     value = 0.0
     if y > 0.0:
-        power = 1.0
-        for k in range(1, 201):
-            power *= y
-            term = power / (k * k)
-            value += term
-            if term < 1e-17 * value:
-                break
+        u = -math.log1p(-y)
+        w = u * u
+        b2, b4, b6, b8, b10, b12, b14, b16 = _LI2_COEFFS
+        value = u - 0.25 * w + u * w * (b2 + w * (b4 + w * (b6 + w * (
+            b8 + w * (b10 + w * (b12 + w * (b14 + w * b16)))))))
         value += 0.5 * math.log(y) * math.log(1.0 - y)
-    return value if x <= 0.5 else math.pi ** 2 / 6.0 - value
+    return value if x <= 0.5 else _PI2_6 - value

@@ -33,6 +33,7 @@ _SERIES_TAIL = 2.0 ** -54
 _BUILD_TAIL = 2.0 ** -60
 _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
+_FOUR_OVER_PI = 4.0 / math.pi
 _LOG_MAX = math.log(sys.float_info.max)
 
 
@@ -451,6 +452,6 @@ def volume_kernel(n: int, l: float) -> KernelValue:
     _check_kernel_args(n, l, least_n=2)
     if n == 2:
         sech2 = 1.0 / math.cosh(0.5 * l) ** 2
-        value = 4.0 / math.pi * rogers_l(sech2)
+        value = _FOUR_OVER_PI * rogers_l(sech2)
         return KernelValue(value, 0.0, _log_of(value))
     return _s_kernel(n, l)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from orthovol.special import harmonic, rogers_l, truncated_log
+from orthovol.special import _LI2_COEFFS, harmonic, rogers_l, truncated_log
 
 EPS = 2.0**-52
 
@@ -136,10 +136,36 @@ def test_dilogarithm_matches_brute_series(x):
 
 
 def test_dilogarithm_domain():
-    with pytest.raises(ValueError):
-        rogers_l(-0.1)
-    with pytest.raises(ValueError):
-        rogers_l(1.1)
+    for x in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError):
+            rogers_l(x)
+
+
+def test_li2_coefficients_correctly_rounded():
+    # B_2j / (2j+1)!, j = 1..8, with the Bernoulli numbers exact from
+    # sum_{k<=m} C(m+1, k) B_k = 0 (B_1 = -1/2, the u^2/4 term)
+    bernoulli = [Fraction(1)]
+    for m in range(1, 17):
+        bernoulli.append(-sum(math.comb(m + 1, k) * bernoulli[k] for k in range(m)) / (m + 1))
+    assert bernoulli[1] == Fraction(-1, 2)
+    assert len(_LI2_COEFFS) == 8
+    for j, coeff in enumerate(_LI2_COEFFS, start=1):
+        assert coeff == float(bernoulli[2 * j] / math.factorial(2 * j + 1)), j
+
+
+def test_rogers_l_within_its_bound():
+    # against 50-digit Li_2 plus the log product formed in mpmath from the
+    # same double 1.0 - x, which leaves out the rounding of 1 - x (the
+    # n = 2 drift): within the docstring's 3 eps on x <= 1/2 and 4.2 eps
+    # through the reflection above
+    rng = np.random.default_rng(31)
+    xs = [5e-324, 1e-300, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)]
+    xs += map(float, rng.uniform(0.0, 0.5, 1000))
+    with mp.workdps(50):
+        for x in xs:
+            want = mp.polylog(2, x) + mp.log(x) * mp.log(mp.mpf(1.0 - x)) / 2
+            bound = 3 * EPS if x <= 0.5 else 4.2 * EPS
+            assert abs(rogers_l(x) - want) <= bound * want, x
 
 
 def test_rogers_l_endpoints():
@@ -175,8 +201,8 @@ def test_rogers_l_reflection(x):
 def test_rogers_l_against_mpmath(lo, hi):
     # 1000 points on each side of 1/2 against 50-digit values, the only
     # independent check of the reflection branch: within 4 eps there.
-    # The series side is 188 eps off at worst, all of it the rounding of
-    # 1 - x in the log product (3.5 eps with log1p(-x))
+    # The series side is 64.6 eps off at worst, all of it the rounding of
+    # 1 - x in the log product (1.2 eps with log1p(-x))
     rng = np.random.default_rng(20261019)
     with mp.workdps(50):
         for x in map(float, rng.uniform(lo, hi, 1000)):

@@ -19,7 +19,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .quadrature import NonConvergenceError
-from .volume_kernel import KernelValue, small_length_constant, volume_kernel
+from .volume_kernel import KernelValue, dimension, small_length_constant, volume_kernel
 
 __all__ = ["collar_volume_factor", "power_law_floor", "volume_bound", "BoundResult"]
 
@@ -84,25 +84,53 @@ def _collar_weights(n: int) -> tuple[tuple[float, int], ...]:
     return tuple(weights)
 
 
-def collar_volume_factor(n: int, r: float) -> float:
-    """int_0^r cosh(t)^(n-1) dt, the volume factor of a collar of width r.
+def collar_volume_factor(n: int, r: float) -> tuple[float, float]:
+    """(factor, log factor), factor = int_0^r cosh(t)^(n-1) dt for a collar of width r.
 
     Binomial expansion of cosh^(n-1) integrates term by term to
     2^(1-n) sum_j C(n-1, j) expm1((n-1-2j) r) / (n-1-2j), the middle
     term degenerating to r when n is odd.  Each weight C(n-1, j) / 2^(n-1)
     is one correctly rounded quotient of exact integers, built once per
-    dimension, so neither C(n-1, j) nor 2^(n-1) has to be a double: the
-    sum is finite wherever the factor is, except that expm1 raises
-    OverflowError once (n-1) r passes 709.78.
+    dimension, so neither C(n-1, j) nor 2^(n-1) has to be a double.
+    Where that sum is finite the log is its log (-inf at r = 0).  Once
+    (n-1) r passes 709.78 the sum overflows; the log is then the
+    log-sum-exp of the terms' logs, with log(e^x - 1) = x + log1p(-e^-x)
+    for the growing ones, and the factor its exp (within about |log|
+    ulp): inf only where the factor overflows, and the log inf only where
+    (n-1) r does.  n is taken through __index__.
     """
+    n = dimension(n)
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    if r < 0.0:
+    if not r >= 0.0:
         raise ValueError("width must be >= 0")
+    weights = _collar_weights(n)
     total = 0.0
-    for w, e in _collar_weights(n):
-        total += w * (r if e == 0 else math.expm1(e * r) / e)
-    return total
+    try:
+        for w, e in weights:
+            total += w * (r if e == 0 else math.expm1(e * r) / e)
+    except OverflowError:
+        total = math.inf
+    if total < math.inf:
+        return total, math.log(total) if total > 0.0 else -math.inf
+    # the terms' logs with log C(n-1, j) from the exact integer, as the
+    # end weights round to 0 from n = 1076
+    m = n - 1
+    logs = []
+    for j, (_, e) in enumerate(weights):
+        if e > 0:
+            size = e * r + math.log1p(-math.exp(-e * r)) - math.log(e)
+        elif e < 0:
+            size = math.log(-math.expm1(e * r) / -e)
+        else:
+            size = math.log(r)
+        logs.append(math.log(math.comb(m, j)) + size)
+    top = max(logs)
+    if top == math.inf:
+        # (n-1) r itself overflows, or r is inf
+        return math.inf, math.inf
+    log_total = top + math.log(math.fsum([math.exp(x - top) for x in logs])) - m * _LOG2
+    return (math.exp(log_total) if log_total <= _LOG_DBL_MAX else math.inf), log_total
 
 
 def _log_small_crossing(n: int, area: float) -> float:
@@ -119,7 +147,7 @@ def power_law_floor(n: int, area: float) -> tuple[float, float]:
     is the bound's limit as the area grows.  log floor, from log K_n, is
     finite for every finite area > 0, also where K_n or the floor underflows.
     """
-    log_floor = _log_small_crossing(n, area) + math.log(area)
+    log_floor = _log_small_crossing(dimension(n), area) + math.log(area)
     return math.exp(log_floor), log_floor
 
 
@@ -172,6 +200,7 @@ def volume_bound(n: int, area: float) -> BoundResult:
     bound and its log are the ones computed at the returned crossing
     length.
     """
+    n = dimension(n)
     t = min(max(_log_small_crossing(n, area), _LOG_BRACKET_LO), 0.0)
     log_area = math.log(area)
     # t -> (kernel at 2 e^t, h(t))
@@ -181,7 +210,7 @@ def volume_bound(n: int, area: float) -> BoundResult:
         if t not in memo:
             x = math.exp(t)
             kv = volume_kernel(n, 2.0 * x)
-            memo[t] = kv, kv.log_value - log_area - math.log(collar_volume_factor(n, x))
+            memo[t] = kv, kv.log_value - log_area - collar_volume_factor(n, x)[1]
         return memo[t][1]
 
     # widest half-width: a solve tolerance inside the collar's overflow

@@ -140,9 +140,9 @@ def cmd_table(args: argparse.Namespace) -> int:
             floor = math.exp(log_floor) if log_floor < 709.0 else math.inf
             row.append(_fmt_log(floor, log_floor, args.digits))
         if args.collar is not None:
-            row.append(
-                _fmt(args.collar * collar_volume_factor(args.dim, 0.5 * l), args.digits)
-            )
+            factor, log_factor = collar_volume_factor(args.dim, 0.5 * l)
+            log_collar = math.log(args.collar) + log_factor
+            row.append(_fmt_log(args.collar * factor, log_collar, args.digits))
         rows.append(row)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -105,7 +105,7 @@ def rogers_l(x: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError("rogers_l implemented on [0, 1] only")
-    y = min(x, 1.0 - x)
+    y = x if x <= 0.5 else 1.0 - x
     value = 0.0
     if y > 0.0:
         u = -math.log1p(-y)

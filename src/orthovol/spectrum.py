@@ -86,10 +86,10 @@ def spectrum_volume(
     terms = []
     errs = []
     for length, mult in entries:
-        kv = volume_kernel(n, length)
-        rows.append((length, mult, kv.value, kv.err_estimate))
-        terms.append(mult * kv.value)
-        errs.append(mult * kv.err_estimate)
+        value, err, _ = volume_kernel(n, length)
+        rows.append((length, mult, value, err))
+        terms.append(mult * value)
+        errs.append(mult * err)
     total = math.fsum(terms)
     rounding = 0.5 * math.fsum(math.ulp(x) for x in terms + [total] if x)
     return total, math.fsum(errs) + rounding, rows

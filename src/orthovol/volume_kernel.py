@@ -14,6 +14,7 @@ through adaptive_quad, so only these two forms need the test extra.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from functools import cache
 from typing import NamedTuple
@@ -22,7 +23,7 @@ from .inner_kernel import inner_kernel
 from .quadrature import adaptive_quad
 from .special import harmonic, rogers_l
 
-__all__ = ["KernelValue", "volume_kernel", "small_length_constant"]
+__all__ = ["KernelValue", "volume_kernel", "small_length_constant", "dimension"]
 
 # even n sums the t-series from l = ln 2 / 2 (t = e^(-2l) <= 1/2) on
 _SERIES_CUT = 0.5 * math.log(2.0)
@@ -43,12 +44,19 @@ class KernelValue(NamedTuple):
     log_value is log(value) wherever value is a normal double.  Where the
     kernel underflows, value is a subnormal or 0, and where it overflows
     value and err_estimate are inf; log_value still holds the kernel's
-    size.
+    size.  volume_kernel builds it as tuple.__new__(KernelValue, (value,
+    err_estimate, log_value)), in C: the same record as
+    KernelValue(value, err_estimate, log_value), without the Python frame
+    of the __new__ that NamedTuple generates.
     """
 
     value: float
     err_estimate: float
     log_value: float
+
+
+# the record without a Python frame: _new_record(KernelValue, (v, e, log v))
+_new_record = tuple.__new__
 
 
 def _log_of(value: float) -> float:
@@ -88,11 +96,22 @@ def _shape_factor(n: int) -> float:
     return _pi_rational(num, den, p)[0]
 
 
-def _check_kernel_args(n: int, l: float, least_n: int = 3) -> None:
+def dimension(n: int) -> int:
+    """n as a Python int, through __index__; a float or non-integer raises TypeError."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise TypeError(f"dimension must be an integer, got {n!r}") from None
+
+
+def _check_kernel_args(n: int, l: float, least_n: int = 3) -> int:
+    """n as a Python int once n >= least_n and 0 < l < inf; else TypeError or ValueError."""
+    n = dimension(n)
     if n < least_n:
         raise ValueError(f"dimension must be >= {least_n}")
     if not 0.0 < l < math.inf:
         raise ValueError("length must be positive and finite")
+    return n
 
 
 def volume_kernel_radial(n: int, l: float) -> KernelValue:
@@ -104,7 +123,7 @@ def volume_kernel_radial(n: int, l: float) -> KernelValue:
     OverflowError past l = 354.89 and NonConvergenceError where the
     integral misses its target.
     """
-    _check_kernel_args(n, l)
+    n = _check_kernel_args(n, l)
     a2m1 = math.expm1(2.0 * l)
     shape = _shape_factor(n)
 
@@ -122,7 +141,7 @@ def volume_kernel_alt(n: int, l: float) -> KernelValue:
 
     shape * a^(n-2) (a^2-1)^(2-n/2) * int_0^30 sinh(w)^(n-3) cosh(w)
     inner_kernel(a cosh w) / (x^2 - 1) dw; past w = 30 is below 1e-24."""
-    _check_kernel_args(n, l)
+    n = _check_kernel_args(n, l)
     a = math.exp(l)
     a2m1 = math.expm1(2.0 * l)
     prefactor = _shape_factor(n) * a ** (n - 2) / a2m1 ** (0.5 * n - 2.0)
@@ -159,16 +178,22 @@ def _c_rational(n: int) -> tuple[int, int, int]:
     return num // (n - 2), 2 * den // (n - 1), p
 
 
-@cache
 def small_length_constant(n: int) -> tuple[float, float]:
     """(K_n, log K_n), K_n the coefficient of l^(2-n) in the kernel's small-length law.
 
     2 pi^((n-3)/2) H_(n-2) Gamma(n/2 + 1) Gamma(n/2 - 1) / (n Gamma((n+1)/2)
     Gamma(n-1)), the s-series' limit c H_(n-2) / 2^(n-2), H_(n-2) = h / d,
     from exact integers: K_n is normal up to n = 326 (K_326 ~ 3e-308) and
-    0 from n = 340, where log K_n still holds its size."""
+    0 from n = 340, where log K_n still holds its size.  n is taken
+    through __index__, so a numpy integer gives the int's pair."""
+    n = dimension(n)
     if n < 3:
         raise ValueError("dimension must be >= 3")
+    return _small_length_constant(n)
+
+
+@cache
+def _small_length_constant(n: int) -> tuple[float, float]:
     num, den, p = _c_rational(n)
     h, d = harmonic(n - 2)
     return _pi_rational(num * h, den * d << (n - 2), p)
@@ -424,18 +449,19 @@ def _s_kernel(n: int, l: float) -> KernelValue:
         x = u / s
         if x < x_max:
             value = c * total * u * x ** (n - 2)
-            return KernelValue(value, (_EPS * (3 * n + 3 + poly) + tail) * value, math.log(value))
+            err = (_EPS * (3 * n + 3 + poly) + tail) * value
+            return _new_record(KernelValue, (value, err, math.log(value)))
     log_s = math.log(s)
     # l P + Q overflows for l near the largest double, q / l for the least
     log_total = math.log(total) if l < 1.0 else math.log(l) + math.log(p + q / l)
     log_value = log_c - (n - 1) * l - (n - 2) * log_s + log_total
     if log_value > _LOG_MAX:
-        return KernelValue(math.inf, math.inf, log_value)
+        return _new_record(KernelValue, (math.inf, math.inf, log_value))
     value = math.exp(log_value)
     size = abs(log_c) + (n - 1) * l + (n - 2) * abs(log_s) + abs(log_total)
     rel = _EPS * (4 * n + 2 + poly + 5.0 * size) + tail
     err = math.ulp(value) + (rel * value if value else 0.0)
-    return KernelValue(value, err, log_value)
+    return _new_record(KernelValue, (value, err, log_value))
 
 
 def volume_kernel(n: int, l: float) -> KernelValue:
@@ -448,10 +474,17 @@ def volume_kernel(n: int, l: float) -> KernelValue:
     every length, even n the s-series below l = ln 2 / 2 and the t-series
     from there on, with a relative estimate of a few eps times n, the term
     count or (n-1) l; value is 0 or inf only where F under- or overflows,
-    and log_value holds F there."""
-    _check_kernel_args(n, l, least_n=2)
+    and log_value holds F there.
+
+    A Python int n >= 2 with 0 < l < inf passes one comparison; anything
+    else goes to the check, which takes n through __index__ (a numpy
+    integer gives the int's record, a float raises TypeError) and raises
+    ValueError for n < 2 or a length that is not positive and finite,
+    nan among them."""
+    if not (type(n) is int and n >= 2 and 0.0 < l < math.inf):
+        n = _check_kernel_args(n, l, least_n=2)
     if n == 2:
-        sech2 = 1.0 / math.cosh(0.5 * l) ** 2
-        value = _FOUR_OVER_PI * rogers_l(sech2)
-        return KernelValue(value, 0.0, _log_of(value))
+        value = _FOUR_OVER_PI * rogers_l(1.0 / math.cosh(0.5 * l) ** 2)
+        log_value = math.log(value) if value > 0.0 else -math.inf
+        return _new_record(KernelValue, (value, 0.0, log_value))
     return _s_kernel(n, l)

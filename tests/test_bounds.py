@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,13 +29,13 @@ EPS = sys.float_info.epsilon
 
 def test_collar_factor_at_zero():
     for n in range(2, 9):
-        assert collar_volume_factor(n, 0.0) == 0.0
+        assert collar_volume_factor(n, 0.0)[0] == 0.0
 
 
 def test_collar_factor_low_dimension_closed_forms():
     for r in (0.1, 0.5, 1.0, 2.0, 4.0):
-        assert collar_volume_factor(2, r) == pytest.approx(math.sinh(r), rel=1e-14)
-        assert collar_volume_factor(3, r) == pytest.approx(
+        assert collar_volume_factor(2, r)[0] == pytest.approx(math.sinh(r), rel=1e-14)
+        assert collar_volume_factor(3, r)[0] == pytest.approx(
             r / 2.0 + math.sinh(2.0 * r) / 4.0, rel=1e-14
         )
 
@@ -43,7 +44,7 @@ def test_collar_factor_low_dimension_closed_forms():
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 2.0, 4.0])
 def test_collar_factor_matches_quadrature(n, r):
     direct, _ = quad(lambda t: math.cosh(t) ** (n - 1), 0.0, r, epsabs=1e-14, epsrel=1e-13)
-    assert collar_volume_factor(n, r) == pytest.approx(direct, rel=1e-12)
+    assert collar_volume_factor(n, r)[0] == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -57,14 +58,14 @@ def test_collar_factor_past_the_double_binomials(n, r):
     # measured within 1.03e-15 of the integral.
     with mpmath.workdps(30):
         want = mpmath.quad(lambda t: mpmath.cosh(t) ** (n - 1), [0, r])
-        assert abs(collar_volume_factor(n, r) / want - 1) <= 2e-15
+        assert abs(collar_volume_factor(n, r)[0] / want - 1) <= 2e-15
 
 
 def test_collar_factor_dominates_sinh():
     for n in range(2, 9):
         for k in range(1, 81):
             r = 0.05 * k
-            assert collar_volume_factor(n, r) >= math.sinh(r) * (1.0 - 1e-15)
+            assert collar_volume_factor(n, r)[0] >= math.sinh(r) * (1.0 - 1e-15)
 
 
 def test_collar_factor_convex_in_width():
@@ -72,7 +73,7 @@ def test_collar_factor_convex_in_width():
     # factor on a uniform grid out to r = 4 must be nonnegative.
     h = 0.05
     for n in range(2, 9):
-        vals = [collar_volume_factor(n, h * k) for k in range(0, 81)]
+        vals = [collar_volume_factor(n, h * k)[0] for k in range(0, 81)]
         for a, b, c in zip(vals, vals[1:], vals[2:]):
             assert a + c - 2.0 * b >= -1e-13 * c
 
@@ -80,7 +81,7 @@ def test_collar_factor_convex_in_width():
 def test_collar_factor_monotone_in_dimension():
     for r in (0.5, 1.0, 2.0):
         for n in range(2, 8):
-            assert collar_volume_factor(n + 1, r) >= collar_volume_factor(n, r)
+            assert collar_volume_factor(n + 1, r)[0] >= collar_volume_factor(n, r)[0]
 
 
 def test_collar_factor_validation():
@@ -88,6 +89,8 @@ def test_collar_factor_validation():
         collar_volume_factor(1, 1.0)
     with pytest.raises(ValueError):
         collar_volume_factor(3, -0.1)
+    with pytest.raises(ValueError):
+        collar_volume_factor(3, math.nan)
 
 
 @pytest.mark.parametrize("n", [*range(2, 13), 60, 601, 2001])
@@ -125,7 +128,75 @@ def _collar_by_big_integers(n, r):
     + [(639, 1.0)],
 )
 def test_collar_factor_bit_identical_to_the_big_integer_sum(n, r):
-    assert collar_volume_factor(n, r) == _collar_by_big_integers(n, r)
+    assert collar_volume_factor(n, r)[0] == _collar_by_big_integers(n, r)
+
+
+def _collar_mp(n, r):
+    """The binomial sum of the collar factor in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        m, r = n - 1, mpmath.mpf(r)
+        terms = [(mpmath.binomial(m, j), m - 2 * j) for j in range(m + 1)]
+        total = sum(c * (r if e == 0 else mpmath.expm1(e * r) / e) for c, e in terms)
+        return total / mpmath.mpf(2) ** m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 60, 2001])
+def test_collar_log_is_the_log_of_a_finite_factor(n):
+    # wherever the sum is finite the log is math.log of it, so
+    # volume_bound's h is the same double it was
+    for r in (0.0, 1e-300, 1e-3, 0.3, 1.0, 5.0, 0.99 * _LOG_DBL_MAX / (n - 1)):
+        if (n - 1) * r > _LOG_DBL_MAX:
+            continue
+        factor, log_factor = collar_volume_factor(n, r)
+        assert factor < math.inf
+        assert log_factor == (math.log(factor) if factor else -math.inf)
+
+
+@pytest.mark.parametrize(
+    "n,r",
+    [(2, 710.0), (2, 710.5), (3, 355.0), (3, 355.8), (3, 356.0), (3, 500.0),
+     (4, 237.0), (8, 200.0), (20, 50.0), (60, 1000.0), (2001, 1.0)],
+)
+def test_collar_log_past_the_overflow_of_its_sum(n, r):
+    # expm1((n-1) r) raised OverflowError from (n-1) r = 709.78, also
+    # where the factor is a double; the table's --collar column exited 2
+    factor, log_factor = collar_volume_factor(n, r)
+    want = _collar_mp(n, r)
+    with mpmath.workdps(60):
+        log_want = mpmath.log(want)
+        assert abs(log_factor - log_want) <= 8 * EPS * abs(log_want)
+        if log_want < _LOG_DBL_MAX:
+            assert abs(factor / want - 1) <= 2 * EPS * log_want
+        else:
+            assert factor == math.inf
+
+
+def test_collar_log_where_the_width_overflows():
+    assert collar_volume_factor(3, 1e308) == (math.inf, math.inf)
+    assert collar_volume_factor(3, math.inf) == (math.inf, math.inf)
+
+
+def test_numpy_integer_dimension_in_bounds():
+    # np.int64 lacks bit_length: each of these raised AttributeError
+    with np.errstate(all="raise"):
+        res = volume_bound(np.int64(4), 10.0)
+        constant = small_length_constant(np.int64(30))
+        floor = power_law_floor(np.int64(4), 10.0)
+        collar = collar_volume_factor(np.int64(4), 1.0)
+    assert res == volume_bound(4, 10.0)
+    assert constant == small_length_constant(30)
+    assert floor == power_law_floor(4, 10.0)
+    assert collar == collar_volume_factor(4, 1.0)
+    for pair in (res, constant, floor, collar):
+        assert all(type(field) is float for field in pair)
+
+
+def test_float_dimension_raises_type_error_in_bounds():
+    small_length_constant(3)
+    for fn, args in ((small_length_constant, ()), (volume_bound, (10.0,)),
+                     (power_law_floor, (10.0,)), (collar_volume_factor, (1.0,))):
+        with pytest.raises(TypeError, match="dimension must be an integer"):
+            fn(3.0, *args)
 
 
 def test_power_law_floor_values():
@@ -188,7 +259,7 @@ def test_volume_bound_crossing_residual(n, area):
     # is pinned to 1e-15 relative, far below it.
     res = volume_bound(n, area)
     left = volume_kernel(n, 2.0 * res.crossing_length).value
-    right = area * collar_volume_factor(n, res.crossing_length)
+    right = area * collar_volume_factor(n, res.crossing_length)[0]
     assert left == pytest.approx(right, rel=1e-8, abs=0.0)
     assert res.bound == pytest.approx(left, rel=1e-12)
 
@@ -266,7 +337,7 @@ def test_volume_bound_tiny_areas_in_high_dimension(n, area):
     res = volume_bound(n, area)
     x = res.crossing_length
     kv = volume_kernel(n, 2.0 * x)
-    residual = kv.log_value - math.log(area) - math.log(collar_volume_factor(n, x))
+    residual = kv.log_value - math.log(area) - collar_volume_factor(n, x)[1]
     assert abs(residual) <= 8.0 * EPS * abs(math.log(area))
     assert res.bound == kv.value > 0.0
 
@@ -367,7 +438,7 @@ def test_volume_bound_past_the_gamma_overflow(n, area):
     # K_n underflows (n >= 327).  Odd n has the closed form at every
     # length, so the crossing is solved to the kernel's own accuracy.
     res = volume_bound(n, area)
-    right = area * collar_volume_factor(n, res.crossing_length)
+    right = area * collar_volume_factor(n, res.crossing_length)[0]
     assert abs(res.bound / right - 1.0) <= 6e-13
     assert all(map(math.isfinite, power_law_floor(n, area)))
 

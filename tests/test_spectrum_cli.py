@@ -253,7 +253,7 @@ def test_cli_bound_past_the_double_binomials(capsys):
     fields = dict(line.split() for line in capsys.readouterr().out.splitlines())
     x = float(fields["crossing_length"])
     assert x == pytest.approx(0.023035667718509258, rel=1e-12)
-    assert float(fields["bound"]) == pytest.approx(collar_volume_factor(2001, x), rel=1e-12)
+    assert float(fields["bound"]) == pytest.approx(collar_volume_factor(2001, x)[0], rel=1e-12)
 
 
 def test_cli_bound_labels(capsys):
@@ -360,6 +360,18 @@ def test_cli_exit_code_bad_values(capsys):
     assert "error:" in err
     assert main(["bound", "-n", "3", "-A", "inf"]) == 2
     assert "area must be positive and finite" in capsys.readouterr().err
+
+
+def test_cli_table_collar_past_the_overflow(capsys):
+    # collar_volume_factor(3, 500) overflowed in expm1: the table exited 2
+    # with "math range error"; the column now prints from the factor's log
+    argv = ["table", "-n", "3", "--lmin", "1", "--lmax", "1000", "--steps", "2"]
+    assert main(argv + ["--collar", "1"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.split()[1:]]
+    assert float(rows[0][3]) == collar_volume_factor(3, 0.5)[0]
+    with mpmath.workdps(40):
+        want = mpmath.mpf(250) + mpmath.sinh(1000) / 4
+        assert abs(mpmath.mpf(rows[1][3]) / want - 1) <= 1e-13
 
 
 @pytest.mark.parametrize("collar", ["nan", "inf", "-1", "0"])

@@ -4,6 +4,8 @@ Monte Carlo cross-check."""
 
 import importlib
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +19,7 @@ from oracles import (
     surface_kernel_integral,
     volume_kernel_montecarlo,
 )
-from orthovol import NonConvergenceError, volume_kernel
+from orthovol import KernelValue, NonConvergenceError, volume_kernel
 from orthovol.quadrature import _ABS_TOL, _REL_TOL
 from orthovol.volume_kernel import (
     _SERIES_CUT,
@@ -301,19 +303,86 @@ def test_volume_kernel_never_calls_alt(monkeypatch):
 
 
 def test_dispatcher_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dimension must be >= 2$"):
         volume_kernel(1, 1.0)
-    with pytest.raises(ValueError):
-        volume_kernel(3, 0.0)
-    with pytest.raises(ValueError):
-        volume_kernel(3, -1.0)
-    # an infinite length used to give 0 with error 0 (n >= 3) or nan
+    # each length fails the one-comparison guard, nan among them, and the
+    # check behind it raises; an infinite length used to give 0 with
+    # error 0 (n >= 3) or nan
     for n in (2, 3):
-        with pytest.raises(ValueError):
-            volume_kernel(n, math.inf)
+        for l in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="^length must be positive and finite$"):
+                volume_kernel(n, l)
     for fn in (volume_kernel_radial, volume_kernel_alt):
         with pytest.raises(ValueError):
             fn(3, math.inf)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 21, 60])
+def test_numpy_integer_dimension_gives_the_int_record(n):
+    # np.int64 lacks bit_length: n = 3, 4, 21 raised AttributeError (21
+    # after numpy overflow warnings) and n = 60 OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kv = volume_kernel(np.int64(n), 0.2)
+    assert kv == volume_kernel(n, 0.2)
+    assert type(kv) is KernelValue
+    assert all(type(field) is float for field in kv)
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, 3.0])
+def test_float_dimension_raises_type_error(n):
+    # 2.0 returned the n = 2 value, 2.5 and 3.0 a bare TypeError from
+    # math.factorial
+    with pytest.raises(TypeError, match="dimension must be an integer"):
+        volume_kernel(n, 1.0)
+
+
+# one point on each of the kernel's four returns: n = 2, the linear
+# scale (either side of the even-n cut), overflow and the log scale
+RETURNS = [
+    (2, 1.0),
+    (3, 1.0),
+    (4, math.nextafter(_SERIES_CUT, 0.0)),
+    (4, math.nextafter(_SERIES_CUT, 1.0)),
+    (8, 1e-300),
+    (3, 1e300),
+]
+
+
+def _python_calls(fn, *args):
+    """Names of the Python frames one call of fn(*args) enters, in order."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+@pytest.mark.parametrize("n,l", RETURNS)
+def test_warm_kernel_call_enters_two_python_frames(n, l):
+    # the guard, the record and n = 2's log add no frame of their own:
+    # a check function, NamedTuple's generated __new__ and a log helper
+    # made it 4-5
+    volume_kernel(n, l)
+    work = "rogers_l" if n == 2 else "_s_kernel"
+    assert _python_calls(volume_kernel, n, l) == ["volume_kernel", work]
+
+
+@pytest.mark.parametrize("n,l", RETURNS)
+def test_every_return_is_a_kernel_value(n, l):
+    kv = volume_kernel(n, l)
+    again = KernelValue(*kv)
+    assert type(kv) is KernelValue
+    assert kv == again
+    assert repr(kv) == repr(again)
+    assert kv._replace(err_estimate=1.0) == KernelValue(kv.value, 1.0, kv.log_value)
 
 
 def test_err_estimate_within_tolerance():

@@ -19,7 +19,8 @@ from functools import cache
 from typing import NamedTuple
 
 from .quadrature import NonConvergenceError
-from .volume_kernel import KernelValue, dimension, small_length_constant, volume_kernel
+from .special import dimension
+from .volume_kernel import KernelValue, small_length_constant, volume_kernel
 
 __all__ = ["collar_volume_factor", "power_law_floor", "volume_bound", "BoundResult"]
 
@@ -72,16 +73,17 @@ def _false_position(f, a, b):
 
 
 @cache
-def _collar_weights(n: int) -> tuple[tuple[float, int], ...]:
-    """((C(n-1, j) / 2^(n-1), n-1-2j) for j = 0..n-1), each weight correctly rounded."""
+def _collar_weights(n: int) -> tuple[tuple[tuple[float, int], ...], tuple[float, ...]]:
+    """(C(n-1, j) / 2^(n-1) correctly rounded, n-1-2j) and log C(n-1, j), j = 0..n-1: two tuples."""
     m = n - 1
     den = 1 << m
-    weights = []
+    weights, logs = [], []
     comb = 1
     for j in range(m + 1):
         weights.append((comb / den, m - 2 * j))
+        logs.append(math.log(comb))
         comb = comb * (m - j) // (j + 1)
-    return tuple(weights)
+    return tuple(weights), tuple(logs)
 
 
 def collar_volume_factor(n: int, r: float) -> tuple[float, float]:
@@ -104,7 +106,7 @@ def collar_volume_factor(n: int, r: float) -> tuple[float, float]:
         raise ValueError("dimension must be >= 2")
     if not r >= 0.0:
         raise ValueError("width must be >= 0")
-    weights = _collar_weights(n)
+    weights, log_combs = _collar_weights(n)
     total = 0.0
     try:
         for w, e in weights:
@@ -115,21 +117,20 @@ def collar_volume_factor(n: int, r: float) -> tuple[float, float]:
         return total, math.log(total) if total > 0.0 else -math.inf
     # the terms' logs with log C(n-1, j) from the exact integer, as the
     # end weights round to 0 from n = 1076
-    m = n - 1
     logs = []
-    for j, (_, e) in enumerate(weights):
+    for (_, e), log_comb in zip(weights, log_combs):
         if e > 0:
             size = e * r + math.log1p(-math.exp(-e * r)) - math.log(e)
         elif e < 0:
             size = math.log(-math.expm1(e * r) / -e)
         else:
             size = math.log(r)
-        logs.append(math.log(math.comb(m, j)) + size)
+        logs.append(log_comb + size)
     top = max(logs)
     if top == math.inf:
         # (n-1) r itself overflows, or r is inf
         return math.inf, math.inf
-    log_total = top + math.log(math.fsum([math.exp(x - top) for x in logs])) - m * _LOG2
+    log_total = top + math.log(math.fsum([math.exp(x - top) for x in logs])) - (n - 1) * _LOG2
     return (math.exp(log_total) if log_total <= _LOG_DBL_MAX else math.inf), log_total
 
 

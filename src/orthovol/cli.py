@@ -166,10 +166,12 @@ def _digits(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # --digits for every subcommand that prints numbers
+    # --digits for every subcommand that prints numbers; -n for all but kn
     printing = argparse.ArgumentParser(add_help=False)
     printing.add_argument("--digits", type=_digits, default=17,
                           help="significant digits in output")
+    dim = argparse.ArgumentParser(add_help=False, parents=[printing])
+    dim.add_argument("-n", "--dim", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="orthovol",
@@ -177,15 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fn", parents=[printing],
+    p = sub.add_parser("fn", parents=[dim],
                        help="volume kernel at a given length")
-    p.add_argument("-n", "--dim", type=int, required=True)
     p.add_argument("-l", "--length", type=float, required=True)
     p.set_defaults(func=cmd_fn)
 
-    p = sub.add_parser("mn", parents=[printing],
+    p = sub.add_parser("mn", parents=[dim],
                        help="inner kernel at a given ratio")
-    p.add_argument("-n", "--dim", type=int, required=True)
     p.add_argument("-b", "--ratio", type=float, required=True)
     p.set_defaults(func=cmd_mn)
 
@@ -194,24 +194,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--dim", type=int)
     p.set_defaults(func=cmd_kn)
 
-    p = sub.add_parser("bound", parents=[printing],
+    p = sub.add_parser("bound", parents=[dim],
                        help="volume lower bound from boundary area")
-    p.add_argument("-n", "--dim", type=int, required=True)
     p.add_argument("-A", "--area", type=float, required=True)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("sum", parents=[printing],
+    p = sub.add_parser("sum", parents=[dim],
                        help="volume from an orthospectrum file")
-    p.add_argument("-n", "--dim", type=int, required=True)
     p.add_argument("spectrum", help="file of 'length [multiplicity]' lines")
     p.add_argument("--per-term", action="store_true")
     p.add_argument("--cutoff", type=float,
                    help="ignore entries with length above this")
     p.set_defaults(func=cmd_sum)
 
-    p = sub.add_parser("table", parents=[printing],
+    p = sub.add_parser("table", parents=[dim],
                        help="CSV table of kernel values over a length grid")
-    p.add_argument("-n", "--dim", type=int, required=True)
     p.add_argument("--lmin", type=float, required=True)
     p.add_argument("--lmax", type=float, required=True)
     p.add_argument("--steps", type=int, default=50)

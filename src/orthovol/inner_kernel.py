@@ -19,7 +19,7 @@ import math
 from functools import cache
 from operator import mul
 
-from .special import harmonic, truncated_log
+from .special import dimension, harmonic, truncated_log
 
 __all__ = ["inner_kernel"]
 
@@ -40,7 +40,10 @@ def inner_kernel(n: int, b: float) -> float:
     where it takes 18 terms for n = 3, 24 for n = 8 and 55 for n = 60;
     it sums them all at every b.  Against a 40-plus-digit mpmath
     evaluation, both branches are within 8.5e-16 relative for n <= 100.
+    n is taken through __index__, so a float raises TypeError.
     """
+    if type(n) is not int:
+        n = dimension(n)
     if n < 3:
         raise ValueError("dimension must be >= 3")
     _check_ratio(b)
@@ -112,8 +115,8 @@ def _closed_form(n: int, b: float) -> float:
 
 
 @cache
-def _far_field_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Coefficients of the far-field series, as far as b = 3 needs them.
+def _far_field_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...], int]:
+    """Coefficients of the far-field series, as far as b = 3 needs them, and their scale.
 
     Substituting v = b w, t = 1/b in the defining integral and expanding
     (1 - u t/w)^(-n), log(1 - t^2/w^2) and log(1 - u^2 t^2) leaves only
@@ -126,11 +129,15 @@ def _far_field_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...
         beta_j = (alpha_j/2)(H_((q-1)/2) + H_(j+1/2))
                  - sum_(i=1..j) (c_(2j-2i)/i) [2/((2j-2i+1)(q-1))
                                               + 2/((2j+1)(q-2i-1))].
-    Both are stored times 9^-j, so that they are the terms at b = 3 and
-    stay finite where c_(2j) alone would overflow.  Every term is
-    positive.  Terms are added until the next one at b = 3 is below
-    2^-57 of the sum and at most half the one before; the term ratio
-    falls with j, so the rest is below 2^-56.
+    Both are stored times 9^-j 2^-e, so that they are the terms at b = 3
+    scaled by 2^-e.  As c_(2j) 9^-j <= (1 - 1/3)^-n = (3/2)^n, the scale
+    e = max(0, ceil(n log2(3/2)) - 1000), 0 up to n = 1709, keeps the
+    terms and their sum below 2^1000.  Every term is positive.  Terms
+    are added until the next one at b = 3 is below 2^-57 of the sum and
+    at most half the one before; the term ratio falls with j, so the
+    rest is below 2^-56.  From n = 3531 the first term rounds to 0 and
+    is the whole table, as m_n(b), which falls with b, is below 2^-1075
+    at b = 3 from n = 1100 on.  Returns (alpha, beta, e).
     """
     # h = H_((n-1)/2) + H_(1/2), advanced by H_(x+1) = H_x + 1/(x+1)
     # with its rounding carried in h_err; 2 H_(2m+1) - H_m
@@ -142,10 +149,11 @@ def _far_field_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...
         summands = [2.0 / k for k in range(1, n, 2)] + [2.0, -4.0 * l2]
     h = math.fsum(summands)
     h_err = 0.0
+    scale = max(0, math.ceil(n * math.log2(1.5)) - 1000)
     binom = 1  # c_(2j), exact
-    nine_j = 1  # 9^j, exact
-    u: list[float] = []  # c_(2k) 9^-k / (2k+1)
-    v: list[float] = []  # c_(2k) 9^-k / (n+2k-1)
+    nine_j = 1 << scale  # 9^j 2^scale, exact
+    u: list[float] = []  # c_(2k) 9^-k 2^-scale / (2k+1)
+    v: list[float] = []  # c_(2k) 9^-k 2^-scale / (n+2k-1)
     w: list[float] = []  # 9^-i / i for i = 1, 2, ...
     alpha: list[float] = []
     beta: list[float] = []
@@ -180,7 +188,7 @@ def _far_field_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...
         binom = binom * q * (q + 1) // ((2 * j + 1) * (2 * j + 2))
         nine_j *= 9
         j += 1
-    return tuple(alpha), tuple(beta)
+    return tuple(alpha), tuple(beta), scale
 
 
 def _far_field(n: int, b: float) -> float:
@@ -189,9 +197,11 @@ def _far_field(n: int, b: float) -> float:
     Every stored term, top term first.  Horner's rule carries the
     rounding of x into term j about j times, which costs up to 3.5e-15
     at n = 100 near b = 3, so the slope adds back the exact 9/b^2 - x,
-    from the integer ratios of b and x, to first order.
+    from the integer ratios of b and x, to first order.  b^(1-n) is then
+    powers of b's mantissa, in chunks that stay normal, and an exponent
+    shift, which takes the coefficients' 2^e too.
     """
-    alpha, beta = _far_field_coefficients(n)
+    alpha, beta, scale = _far_field_coefficients(n)
     lb = math.log(b)
     x = 9.0 / (b * b)
     acc = slope = 0.0
@@ -202,13 +212,9 @@ def _far_field(n: int, b: float) -> float:
     xp, xq = x.as_integer_ratio()
     acc += slope * ((9 * q * q * xq - xp * p * p) / (p * p * xq))
     k = n - 1
-    if k * lb < 709.0:
-        return acc / b**k
-    # b^k overflows: divide by the mantissa's power and shift the
-    # exponent, in chunks whose powers stay normal
     acc, shift = math.frexp(acc)
     frac, exp = math.frexp(b)
-    shift -= exp * k
+    shift += scale - exp * k
     while k:
         step = min(k, 1000)
         acc, e = math.frexp(acc / frac**step)

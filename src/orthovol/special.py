@@ -1,5 +1,6 @@
-"""The elementary sums the kernels are built from, one routine each.
+"""The elementary pieces the kernels are built from, one routine each.
 
+dimension takes every public function's n through __index__;
 harmonic gives H_k exactly as two integers, which every per-dimension
 table reads (volume_kernel builds its gamma constants from exact
 integers too); truncated_log is the logarithm series cut after n terms,
@@ -11,9 +12,10 @@ u = -log(1 - y) on y <= 1/2 and its reflection above.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cache
 
-__all__ = ["harmonic", "truncated_log", "rogers_l"]
+__all__ = ["dimension", "harmonic", "truncated_log", "rogers_l"]
 
 # B_2j / (2j+1)!, j = 1..8, from exact integers so each is correctly rounded
 _LI2_COEFFS = (
@@ -21,6 +23,14 @@ _LI2_COEFFS = (
     -691 / 16999766784000, 1 / 1120863744000, -3617 / 181400588328960000,
 )
 _PI2_6 = math.pi**2 / 6.0
+
+
+def dimension(n: int) -> int:
+    """n as a Python int, through __index__; a float or non-integer raises TypeError."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise TypeError(f"dimension must be an integer, got {n!r}") from None
 
 
 @cache

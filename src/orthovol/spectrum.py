@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from .special import dimension
 from .volume_kernel import volume_kernel
 
 __all__ = [
@@ -81,7 +82,11 @@ def spectrum_volume(
     mult * value.  Its error estimate adds the terms' error estimates
     linearly, which overstates the combined error but never hides it,
     and half an ulp for the rounding of each term and of the total.
+    n goes through __index__ and must be >= 2, also for an empty spectrum.
     """
+    n = dimension(n)
+    if n < 2:
+        raise ValueError("dimension must be >= 2")
     rows = []
     terms = []
     errs = []

@@ -14,16 +14,15 @@ through adaptive_quad, so only these two forms need the test extra.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from functools import cache
 from typing import NamedTuple
 
 from .inner_kernel import inner_kernel
 from .quadrature import adaptive_quad
-from .special import harmonic, rogers_l
+from .special import dimension, harmonic, rogers_l
 
-__all__ = ["KernelValue", "volume_kernel", "small_length_constant", "dimension"]
+__all__ = ["KernelValue", "volume_kernel", "small_length_constant"]
 
 # even n sums the t-series from l = ln 2 / 2 (t = e^(-2l) <= 1/2) on
 _SERIES_CUT = 0.5 * math.log(2.0)
@@ -94,14 +93,6 @@ def _shape_factor(n: int) -> float:
         m = n // 2
         num, den, p = 4**m * (m - 1) * fact(m - 1), fact(2 * m - 2), m - 2
     return _pi_rational(num, den, p)[0]
-
-
-def dimension(n: int) -> int:
-    """n as a Python int, through __index__; a float or non-integer raises TypeError."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise TypeError(f"dimension must be an integer, got {n!r}") from None
 
 
 def _check_kernel_args(n: int, l: float, least_n: int = 3) -> int:
@@ -203,19 +194,18 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617
 
 
 def _trigamma(j: int) -> float:
-    """psi'(j) for an integer j >= 1 within a few ulp, by its asymptotic series.
+    """psi'(j) for an integer j >= 16 within a few ulp, by its asymptotic series.
 
-    (1 + 1/(2x) + sum_(i<=8) B_2i x^(-2i)) / x, B_2i in _BERNOULLI, at
-    x = max(j, 16), next term below 1e-20 of it, plus 1/i^2 for
-    i = j..15; pi^2/6 minus a partial sum would lose log10 j digits.
-    Within 2.2 ulp of 40-digit values for j = 3..2600.  _s_coefficients
-    calls it once per even-n table, above the top term, and recurs down.
+    (1 + 1/(2j) + sum_(i<=8) B_2i j^(-2i)) / j, B_2i in _BERNOULLI, next
+    term below 1e-20 of it; within 2.2 ulp of 40-digit values for
+    j = 16..3000.  _s_coefficients calls it once per even-n table, at
+    j = n - 1 + K, K its term count (j >= 64, least at n = 4 with K = 61),
+    and recurs down.
     """
-    x = max(j, 16)
     series = 0.0
     for b in reversed(_BERNOULLI):
-        series = (series + b) / (x * x)
-    return math.fsum([1.0 / (i * i) for i in range(j, x)] + [(1.0 + 0.5 / x + series) / x])
+        series = (series + b) / (j * j)
+    return (1.0 + 0.5 / j + series) / j
 
 
 @cache
@@ -301,10 +291,24 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
     coefs.reverse()
     if n % 2:
         return log_c, c, l_max, x_max, coefs, [], 0.0, []
-    # the sum at the cut: l P + Q, then the terms of T at L = -log 2
-    total = 0.0
-    for r, e in coefs:
-        total = 0.5 * total + _SERIES_CUT * r + e
+    # the t-series' q_K = num / den and q_K e_K; its sum at the cut is S there
+    num, den = 2 * (n - 2), n - 1
+    e = math.fsum([2.0 / j for j in range(1, n, 2)] + [-2.0 * _LN2])
+    e_err = total = 0.0
+    t_terms, k = [], 0
+    while True:
+        q, ek = num / den, e + e_err
+        t_terms.append((q, q * ek))
+        term = math.ldexp(q * (_SERIES_CUT + ek), -k)
+        total += term
+        if abs(term) <= _BUILD_TAIL * total:
+            break
+        step = (1 - n) / ((k + 1) * (n + 1 + 2 * k))
+        e, e_err = e + step, e_err + (step - ((e + step) - e))
+        num *= 3 - n + 2 * k
+        den *= n + 1 + 2 * k
+        k += 1
+    # the terms of T at the cut, L = -log 2, until they are below 2^-60 of S
     fact = math.factorial
     num = (-1) ** (n // 2) * fact(n) * (n - 2)
     den = fact(n // 2) * fact(n // 2 - 1) * (n - 1) << 3 * n - 5
@@ -316,7 +320,6 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
         v, gk, bk, psi = num / den, g + g_err, b + b_err, 1.0 / (n - 2 + k)
         a = abs(v) * ((_SERIES_CUT - gk) * (bk + _LN2) + psi)
         terms.append([v, gk, bk, psi, a])
-        total += v * ((_SERIES_CUT + gk) * (bk - _LN2) - psi)
         r = (n - 1 + 2 * k) / (4 * k) if k else 1.0
         if r < 1.0 and a * r <= _BUILD_TAIL * (1.0 - r) * total:
             break
@@ -341,23 +344,6 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
     rest = terms[-1][4] * r / (1.0 - r)
     for term in reversed(terms):
         term[4], rest = rest, rest + term[4]
-    # the t-series' q_K = num / den and q_K e_K, its sum at the cut (t = 1/2)
-    num, den = 2 * (n - 2), n - 1
-    e = math.fsum([2.0 / j for j in range(1, n, 2)] + [-2.0 * _LN2])
-    e_err = total = 0.0
-    t_terms, k = [], 0
-    while True:
-        q, ek = num / den, e + e_err
-        t_terms.append((q, q * ek))
-        term = math.ldexp(q * (_SERIES_CUT + ek), -k)
-        total += term
-        if abs(term) <= _BUILD_TAIL * total:
-            break
-        step = (1 - n) / ((k + 1) * (n + 1 + 2 * k))
-        e, e_err = e + step, e_err + (step - ((e + step) - e))
-        num *= 3 - n + 2 * k
-        den *= n + 1 + 2 * k
-        k += 1
     return log_c, c, l_max, x_max, coefs, [tuple(term) for term in terms], rest, t_terms
 
 

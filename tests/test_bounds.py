@@ -96,10 +96,12 @@ def test_collar_factor_validation():
 @pytest.mark.parametrize("n", [*range(2, 13), 60, 601, 2001])
 def test_collar_weights_are_correctly_rounded(n):
     # each cached weight is the double nearest C(n-1, j) / 2^(n-1), and
-    # comes with its exponent n-1-2j
+    # comes with its exponent n-1-2j; each cached log is log C(n-1, j)
+    # from the exact integer
     m = n - 1
-    weights = _collar_weights(n)
+    weights, log_combs = _collar_weights(n)
     assert [e for _, e in weights] == [m - 2 * j for j in range(m + 1)]
+    assert list(log_combs) == [math.log(math.comb(m, j)) for j in range(m + 1)]
     for j, (w, _) in enumerate(weights):
         q = Fraction(math.comb(m, j), 2 ** m)
         err = abs(Fraction(w) - q)

@@ -185,8 +185,9 @@ def test_integral_oracle_within_its_estimate_of_reference(n, b):
 
 def _series_coefficients(n):
     # alpha_j, beta_j of b^(n-1) m_n(b) = sum_j b^(-2j) (alpha_j log b + beta_j);
-    # _far_field_coefficients stores them times 9^-j
-    alpha, beta = _far_field_coefficients(n)
+    # _far_field_coefficients stores them times 9^-j (its scale is 2^0 up
+    # to n = 1709)
+    alpha, beta, _ = _far_field_coefficients(n)
     return (
         [a * 9.0**j for j, a in enumerate(alpha)],
         [c * 9.0**j for j, c in enumerate(beta)],
@@ -217,6 +218,57 @@ def test_far_field_never_overflows(n, b):
         assert got == 0.0
     else:
         assert got == pytest.approx(math.exp(log_want), rel=1e-12, abs=2.0**-1074)
+
+
+def _far_field_majorant(n, b):
+    """b^(1-n) sum_j b^(-2j) alpha_j (log b + (H_((q-1)/2) + H_(j+1/2)) / 2), 40 digits.
+
+    The series with each beta_j cut to its first term: the sum that
+    beta_j subtracts from it has positive terms, so this bounds m_n(b)
+    from above.  Summed from the exact c_(2j) until the terms fall
+    below 1e-45 of the sum.
+    """
+    with mpmath.workdps(40):
+        x, lb = mpmath.mpf(b) ** -2, mpmath.log(b)
+        c, total, last, j = mpmath.mpf(1), mpmath.mpf(0), mpmath.inf, 0
+        while True:
+            q = n + 2 * j
+            alpha = 4 * c / ((2 * j + 1) * (q - 1))
+            h = (mpmath.harmonic(mpmath.mpf(q - 1) / 2) + mpmath.harmonic(j + 0.5)) / 2
+            term = x**j * alpha * (lb + h)
+            total += term
+            if term < 1e-45 * total and term < last:
+                return mpmath.mpf(b) ** (1 - n) * total
+            last = term
+            c = c * q * (q + 1) / ((2 * j + 1) * (2 * j + 2))
+            j += 1
+
+
+@pytest.mark.parametrize("n", [1750, 1800, 2000, 3000])
+def test_far_field_at_large_n(n):
+    # m_1800 returned inf at b = 5 and nan at b = 3 (the terms at b = 3,
+    # which grow like (3/2)^n, overflowed); from n ~ 2000 the coefficients
+    # raised OverflowError.  A finite value >= 0, and 0.0 wherever even
+    # a bound on m_n(b) is below half the least subnormal.
+    for b in (3.0, 5.0, 1e300):
+        got = inner_kernel(n, b)
+        assert math.isfinite(got) and got >= 0.0
+        bound = _far_field_majorant(n, b)
+        assert bound < mpmath.mpf(2) ** -1075
+        assert got == 0.0
+
+
+def test_dimension_through_index():
+    # np.int64 raised TypeError from ldexp in the closed form, and a float
+    # n "'float' object cannot be interpreted as an integer"
+    for n in (3, 5, 60):
+        for b in (2.0, 7.0):
+            got = inner_kernel(np.int64(n), b)
+            assert got == inner_kernel(n, b)
+            assert type(got) is float
+    for n in (3.0, 3.5, 5.0):
+        with pytest.raises(TypeError, match="dimension must be an integer"):
+            inner_kernel(n, 2.0)
 
 
 def test_closed_form_past_the_double_range_raises_overflow_error():
@@ -319,7 +371,7 @@ def test_far_field_coefficients_against_exact(n):
     # exact value, relative to the term alpha_j log b + beta_j at b = 3,
     # where it weighs most.  That needs the rounding of the running
     # harmonic sums carried along: without it 6.9e-16 at n = 100.
-    alpha, beta = _far_field_coefficients(n)
+    alpha, beta, _ = _far_field_coefficients(n)
     log3 = math.log(3.0)
     for j, (a, p, q) in enumerate(exact_series_coefficients(n, len(alpha))):
         scale = Fraction(1, 9**j)

@@ -68,6 +68,11 @@ def test_spectrum_volume_empty():
     assert total == 0.0
     assert err == 0.0
     assert rows == []
+    # n is checked without entries too: these gave (0.0, 0.0, [])
+    with pytest.raises(ValueError, match="^dimension must be >= 2$"):
+        spectrum_volume(1, [])
+    with pytest.raises(TypeError, match="dimension must be an integer"):
+        spectrum_volume(3.5, [])
 
 
 def test_spectrum_volume_multiplicity():
@@ -299,6 +304,19 @@ def test_cli_sum_empty_file(tmp_path, capsys):
     total_token, err_token = capsys.readouterr().out.split()
     assert float(total_token) == 0.0
     assert float(err_token) == 0.0
+
+
+@pytest.mark.parametrize(
+    "text,argv", [("# nothing\n", []), (SAMPLE, ["--cutoff", "0.1"])], ids=["empty", "cutoff"]
+)
+def test_cli_sum_rejects_dimension_below_two_without_entries(text, argv, tmp_path, capsys):
+    # an empty file, or one the cutoff empties, printed 0 0 and exited 0
+    spectrum = tmp_path / "spectrum.txt"
+    spectrum.write_text(text)
+    assert main(["sum", "-n", "1", str(spectrum), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dimension must be >= 2" in captured.err
 
 
 def test_cli_table_log_grid(capsys):

@@ -8,7 +8,8 @@ bound depending only on dimension and boundary area, which tends to
 the power-law floor K_n^(1/(n-1)) (A/2)^((n-2)/(n-1)) as A grows.  The
 crossing is the one root of a decreasing function of log x, on one
 fixed bracket of widths that the small-length crossing and one step
-from it narrow, found by bracketed false position.
+from it narrow, found by bracketed false position that stops where the
+function's proved least slope puts the root within tolerance.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ _T_RTOL = 8.9e-16
 _MAXITER = 100
 
 
-def _false_position(f, a, b):
-    """Root of f on a bracket a < b with f(a) > 0 >= f(b), to _T_TOL + _T_RTOL |t|.
+def _false_position(f, a, b, fa, fb, slope):
+    """Root of f on a < b from fa = f(a) > 0 >= f(b) = fb, to _T_TOL + _T_RTOL |t|.
 
     False position with the Anderson-Bjorck rule (BIT 13, 1973): each
     step takes the secant point of the two ends, at least
@@ -44,13 +45,14 @@ def _false_position(f, a, b):
     shrinks every step.  When a step moves the same end as the step
     before, or is the first, the end it leaves stale has its weight g
     scaled by m = 1 - f_new / f_old, or by 1/2 if m <= 0, so that end
-    pulls the next secant point towards it.  Stops once the bracket is
-    narrower than 2 delta and returns the end with the smaller |f|.
-    After _MAXITER steps it raises NonConvergenceError with the width
-    e^t of that end, t being log x in volume_bound.
+    pulls the next secant point towards it.  Where f' <= -slope, a point
+    t with |f(t)| <= slope delta / 2 lies within delta / 2 of the root and
+    is returned (slope 0 turns this off); otherwise it stops
+    once the bracket is narrower than 2 delta and returns the end with the
+    smaller |f|.  After _MAXITER steps it raises NonConvergenceError with
+    the width e^t of that end, t being log x in volume_bound.
     """
-    fa, fb = f(a), f(b)
-    ga, gb, side = fa, fb, 0
+    ga, gb, side, stop = fa, fb, 0, slope / 2
     for _ in range(_MAXITER):
         t = b - gb * (b - a) / (gb - ga)
         delta = (_T_TOL + _T_RTOL * abs(t)) / 2
@@ -58,6 +60,8 @@ def _false_position(f, a, b):
             return a if abs(fa) < abs(fb) else b
         t = min(max(t, a + delta), b - delta)
         ft = f(t)
+        if abs(ft) <= stop * delta:
+            return t
         if ft > 0.0:
             if side <= 0:
                 m = 1.0 - ft / fa
@@ -106,7 +110,11 @@ def collar_volume_factor(n: int, r: float) -> tuple[float, float]:
         raise ValueError("dimension must be >= 2")
     if not r >= 0.0:
         raise ValueError("width must be >= 0")
-    weights, log_combs = _collar_weights(n)
+    return _collar(n, r, *_collar_weights(n))
+
+
+def _collar(n: int, r: float, weights, log_combs) -> tuple[float, float]:
+    """collar_volume_factor(n, r) for a checked n and r, on n's _collar_weights."""
     total = 0.0
     try:
         for w, e in weights:
@@ -162,7 +170,7 @@ class BoundResult(NamedTuple):
     falls, so rounding in the solve or the kernel may put it above the
     true bound (ROADMAP item 6).
     log_bound: its log, the kernel's log_value, finite where bound
-    underflows.
+    underflows.  volume_bound builds it with tuple.__new__, in C.
     power_law_floor(n, area) is the bound's limit as the area grows;
     bound >= floor does not hold for every area.
     """
@@ -195,38 +203,40 @@ def volume_bound(n: int, area: float) -> BoundResult:
     pi l (1 + l) / (e^(2l) - 1)) and x <= collar_volume_factor(x) <=
     x cosh^(n-1)(x), so h' <= -(n-1), and an unclamped seed lies at or
     above the root.  False position with the Anderson-Bjorck rule then
-    keeps the bracket; about 6 kernel calls, the two points among them,
-    pin t to 1e-15.  Ends that do not straddle the root raise
-    NonConvergenceError.  Kernel values and h are kept, so the returned
-    bound and its log are the ones computed at the returned crossing
-    length.
+    keeps the bracket and, as h' <= -(n-1), stops at a point t with
+    |h(t)| <= (n-1) delta / 2, delta its half-tolerance, so within
+    delta / 2 of the root: about 5.4 kernel calls, the two points among
+    them, each at a new t, pin t to 1e-15.  Both rules read h as
+    computed, its rounding not yet counted (ROADMAP item 6).  Ends that
+    do not straddle the root raise NonConvergenceError.  The bound and
+    its log are the kernel's at the returned crossing length.
     """
     n = dimension(n)
     t = min(max(_log_small_crossing(n, area), _LOG_BRACKET_LO), 0.0)
     log_area = math.log(area)
-    # t -> (kernel at 2 e^t, h(t))
-    memo: dict[float, tuple[KernelValue, float]] = {}
+    weights, log_combs = _collar_weights(n)
+    kernel: dict[float, KernelValue] = {}
 
     def h(t: float) -> float:
-        if t not in memo:
-            x = math.exp(t)
-            kv = volume_kernel(n, 2.0 * x)
-            memo[t] = kv, kv.log_value - log_area - collar_volume_factor(n, x)[1]
-        return memo[t][1]
+        x = math.exp(t)
+        kernel[t] = kv = volume_kernel(n, 2.0 * x)
+        return kv.log_value - log_area - _collar(n, x, weights, log_combs)[1]
 
     # widest half-width: a solve tolerance inside the collar's overflow
     t_hi = math.log(_LOG_DBL_MAX / (n - 1.0)) - _T_TOL
     ht = h(t)
     tol = _T_TOL + _T_RTOL * abs(t)
     step = max(ht / (n - 1.0), tol) if ht > 0.0 else min(ht / (n - 1.0), -tol)
-    lo, hi = _LOG_BRACKET_LO, t_hi
-    for s in (t, min(max(t + step, _LOG_BRACKET_LO), t_hi)):
-        if h(s) > 0.0:
-            lo = s
-        else:
-            hi = s
-    if not h(lo) > 0.0 >= h(hi):
+    s = min(max(t + step, _LOG_BRACKET_LO), t_hi)
+    (lo, h_lo), (hi, h_hi) = sorted(((t, ht), (s, h(s))))
+    if h_hi > 0.0:
+        lo, h_lo, hi = hi, h_hi, t_hi
+        h_hi = h_lo if lo == hi else h(hi)
+    elif not h_lo > 0.0:
+        lo, hi, h_hi = _LOG_BRACKET_LO, lo, h_lo
+        h_lo = h_hi if lo == hi else h(lo)
+    if not h_lo > 0.0 >= h_hi:
         raise NonConvergenceError("could not bracket the collar crossing", math.nan, math.nan)
-    t = _false_position(h, lo, hi)
-    kv = memo[t][0]
-    return BoundResult(math.exp(t), kv.value, kv.log_value)
+    t = _false_position(h, lo, hi, h_lo, h_hi, n - 1.0)
+    kv = kernel[t]
+    return tuple.__new__(BoundResult, (math.exp(t), kv.value, kv.log_value))

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from gen_kernel_reference import DPS, LAW_BELOW, small_length_law
+from gen_kernel_reference import kernel as hypergeometric_kernel
 from orthovol import (
     BoundResult,
     KernelValue,
@@ -21,7 +23,7 @@ from orthovol import (
     volume_bound,
     volume_kernel,
 )
-from orthovol.bounds import _LOG_BRACKET_LO, _LOG_DBL_MAX, _T_TOL, _collar_weights
+from orthovol.bounds import _LOG_BRACKET_LO, _LOG_DBL_MAX, _T_RTOL, _T_TOL, _collar_weights
 from orthovol.volume_kernel import small_length_constant
 
 EPS = sys.float_info.epsilon
@@ -281,17 +283,18 @@ def _counting(monkeypatch):
 @pytest.mark.parametrize("n,area", [(3, 4.0 * math.pi), (4, 10.0), (5, 100.0)])
 def test_volume_bound_kernel_calls(n, area, monkeypatch):
     # False position in log-log coordinates, on the bracket of the seed and
-    # one step from it: 7, 7 and 6 calls, each one new.
+    # one step from it, stopped by the slope bound: 6, 6 and 5 calls, each
+    # one new (7, 7 and 6 without the stop).
     calls = _counting(monkeypatch)
     res = volume_bound(n, area)
-    assert len(calls) <= {3: 7, 4: 7, 5: 6}[n]
+    assert len(calls) <= {3: 6, 4: 6, 5: 5}[n]
     assert len(set(calls)) == len(calls)
     assert 2.0 * res.crossing_length in calls
 
 
 def test_volume_bound_kernel_calls_over_a_pool(monkeypatch):
-    # n = 3..6 with 12 log-uniform areas on [1, 1000] each: 6.25 calls per
-    # solve, each one new
+    # n = 3..6 with 12 log-uniform areas on [1, 1000] each: 256 calls, 5.33
+    # per solve (6.25 without the slope stop), each one new
     rng = random.Random(26)
     calls = _counting(monkeypatch)
     total = 0
@@ -301,7 +304,7 @@ def test_volume_bound_kernel_calls_over_a_pool(monkeypatch):
         volume_bound(n, area)
         assert len(set(calls)) == len(calls)
         total += len(calls)
-    assert total / len(pool) <= 6.5
+    assert total <= 256
 
 
 @settings(max_examples=300, deadline=None)
@@ -365,19 +368,19 @@ def test_volume_bound_first_step_brackets(monkeypatch):
 @pytest.mark.parametrize(
     "f,lo,hi,root,max_calls",
     [
-        # nearly linear, as volume_bound's h is: 7 calls
+        # nearly linear, as volume_bound's h is: 7 calls, the ends among them
         (lambda t: -2.0 * t - 1.0 + 0.01 * math.sin(5.0 * t), -3.0, 2.0,
          -0.5029332913066225077711686, 8),
         # curved across a wide bracket, where false position shrinks the
-        # far end in steps: 34 and 38 calls
+        # far end in steps: 33 and 37 calls (1 - t^3 is 0 at t = 1.0)
         (lambda t: 1.0 - t ** 3, 0.0, 10.0, 1.0, 36),
         (lambda t: math.exp(-t) - 0.3, -1.0, 40.0, 1.203972804325936029630180, 40),
     ],
 )
 def test_false_position_on_a_bracket(f, lo, hi, root, max_calls):
     # roots from 40-digit mpmath solves of the same double-precision
-    # functions
-    from orthovol.bounds import _T_RTOL, _false_position
+    # functions; slope 0 turns the slope stop off, and the ends count
+    from orthovol.bounds import _false_position
 
     calls = []
 
@@ -385,10 +388,72 @@ def test_false_position_on_a_bracket(f, lo, hi, root, max_calls):
         calls.append(t)
         return f(t)
 
-    t = _false_position(counted, lo, hi)
+    t = _false_position(counted, lo, hi, counted(lo), counted(hi), 0.0)
     assert abs(t - root) <= _T_TOL + _T_RTOL * abs(root)
     assert all(lo <= c <= hi for c in calls)
     assert len(calls) <= max_calls
+
+
+def test_false_position_stops_on_the_slope_bound():
+    # f' <= -1.95 on the nearly linear case above: the first point with
+    # |f| <= 1.95 delta / 2 is returned, within delta / 2 of the root, in 6
+    # calls against 7 on the bracket rule alone
+    from orthovol.bounds import _false_position
+
+    root = -0.5029332913066225077711686
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return -2.0 * t - 1.0 + 0.01 * math.sin(5.0 * t)
+
+    t = _false_position(counted, -3.0, 2.0, counted(-3.0), counted(2.0), 1.95)
+    assert len(calls) <= 6
+    delta = (_T_TOL + _T_RTOL * abs(t)) / 2
+    assert t == calls[-1]
+    assert abs(counted(t)) <= 1.95 * delta / 2
+    assert abs(t - root) <= delta / 2
+
+
+def _kernel_mp(n, l):
+    """F_n(l) as tests/gen_kernel_reference.py forms a row: the 2F1 form at
+    DPS + 2 |log10 l| digits, and the small-length law from LAW_BELOW down."""
+    with mpmath.workdps(DPS + 2 * max(0, math.ceil(-mpmath.log10(l)))):
+        return +(small_length_law(n, l) if l <= LAW_BELOW else hypergeometric_kernel(n, l))
+
+
+def _even_crossing(n, area, x):
+    """log x* where F_n(2 x*) = area C_n(x*), by secant steps in log x from x at DPS digits."""
+    with mpmath.workdps(DPS):
+        def g(u):
+            x = mpmath.exp(u)
+            return mpmath.log(_kernel_mp(n, 2 * x) / (area * _collar_mp(n, x)))
+
+        u0 = mpmath.log(x)
+        u1 = u0 + mpmath.mpf(1e-9)
+        g0, g1 = g(u0), g(u1)
+        for _ in range(8):
+            u0, g0, u1 = u1, g1, u1 - g1 * (u1 - u0) / (g1 - g0)
+            if abs(u1 - u0) <= mpmath.mpf(10) ** (4 - DPS) * max(1, abs(u1)):
+                return u1
+            g1 = g(u1)
+    raise AssertionError(f"no 40-digit crossing for n = {n}, area = {area}")
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("area", [1e-200, 1e-30, 1.0, 4.0 * math.pi, 1e30, 1e200])
+def test_volume_bound_matches_an_even_oracle(n, area):
+    # even n has no elementary form: the crossing is a 40-digit root of
+    # the 2F1 form of F_n against the exact binomial sum of the collar.
+    # The solve pins t = log x to 2 delta = _T_TOL + _T_RTOL |t|, and the
+    # bound is the kernel at the returned crossing, within its estimate.
+    # At A = 1e200, 2x is 2.7e-67 (n = 4) and 9.0e-41 (n = 6), below 1e-20,
+    # where the oracle is the table's small-length law, off by O(l^2 log l).
+    res = volume_bound(n, area)
+    t_star = _even_crossing(n, area, res.crossing_length)
+    assert abs(math.log(res.crossing_length) - t_star) <= _T_TOL + _T_RTOL * abs(t_star)
+    kv = volume_kernel(n, 2.0 * res.crossing_length)
+    assert abs(res.bound - _kernel_mp(n, 2 * mpmath.mpf(res.crossing_length))) <= kv.err_estimate
 
 
 @pytest.mark.parametrize(
@@ -499,10 +564,27 @@ def test_volume_bound_validation():
         volume_bound(3, math.inf)
 
 
+def test_bound_result_keeps_the_named_tuple_api():
+    # volume_bound builds its record with tuple.__new__: still the class,
+    # its fields, equality with the same record built by name, its repr
+    # and _replace
+    res = volume_bound(3, 4.0 * math.pi)
+    assert type(res) is BoundResult
+    assert res == BoundResult(res.crossing_length, res.bound, res.log_bound)
+    assert res == (res.crossing_length, res.bound, res.log_bound)
+    assert res.bound == res[1] == 2.9860782288158148
+    assert repr(res) == (f"BoundResult(crossing_length={res.crossing_length!r}, "
+                         f"bound={res.bound!r}, log_bound={res.log_bound!r})")
+    moved = res._replace(bound=1.0)
+    assert type(moved) is BoundResult
+    assert moved == (res.crossing_length, 1.0, res.log_bound)
+    assert res._asdict()["log_bound"] == res.log_bound
+
+
 def test_volume_bound_bracket_failure(monkeypatch):
     # a kernel whose log gap h keeps one sign over the whole bracket: the
     # step from the seed clamps to the bracket end on the far side, so
-    # the guard reads two cached points and raises
+    # the guard reads the step's value at that end and raises
     calls = []
     for log_value in (1e4, -1e4):
         calls.clear()
@@ -525,8 +607,8 @@ def test_false_position_raises_past_its_step_limit():
         return 1.0 if t < 0.3 else -1e-300
 
     with pytest.raises(NonConvergenceError, match="did not converge"):
-        _false_position(jump, -700.0, 700.0)
-    assert len(calls) == _MAXITER + 2
+        _false_position(jump, -700.0, 700.0, 1.0, -1e-300, 0.0)
+    assert len(calls) == _MAXITER
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 60, 600, 1001, 2000])

@@ -2,6 +2,7 @@
 shell-average representations, the two-dimensional closed form, and the
 Monte Carlo cross-check."""
 
+import gc
 import importlib
 import math
 import sys
@@ -350,18 +351,24 @@ RETURNS = [
 
 
 def _python_calls(fn, *args):
-    """Names of the Python frames one call of fn(*args) enters, in order."""
+    """Names of the Python frames one call of fn(*args) enters, in order.
+
+    The collector stays off for the call: hypothesis adds a gc callback
+    once a property test has run, and a collection inside the call would
+    list that callback's frame as the call's own."""
     names = []
 
     def profile(frame, event, arg):
         if event == "call":
             names.append(frame.f_code.co_name)
 
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        gc.enable()
     return names
 
 

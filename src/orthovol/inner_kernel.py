@@ -115,8 +115,8 @@ def _closed_form(n: int, b: float) -> float:
 
 
 @cache
-def _far_field_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...], int]:
-    """Coefficients of the far-field series, as far as b = 3 needs them, and their scale.
+def _far_field_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Coefficients of the far-field series, as far as b = 3 needs them.
 
     Substituting v = b w, t = 1/b in the defining integral and expanding
     (1 - u t/w)^(-n), log(1 - t^2/w^2) and log(1 - u^2 t^2) leaves only
@@ -129,15 +129,19 @@ def _far_field_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...
         beta_j = (alpha_j/2)(H_((q-1)/2) + H_(j+1/2))
                  - sum_(i=1..j) (c_(2j-2i)/i) [2/((2j-2i+1)(q-1))
                                               + 2/((2j+1)(q-2i-1))].
-    Both are stored times 9^-j 2^-e, so that they are the terms at b = 3
-    scaled by 2^-e.  As c_(2j) 9^-j <= (1 - 1/3)^-n = (3/2)^n, the scale
-    e = max(0, ceil(n log2(3/2)) - 1000), 0 up to n = 1709, keeps the
-    terms and their sum below 2^1000.  Every term is positive.  Terms
-    are added until the next one at b = 3 is below 2^-57 of the sum and
-    at most half the one before; the term ratio falls with j, so the
-    rest is below 2^-56.  From n = 3531 the first term rounds to 0 and
-    is the whole table, as m_n(b), which falls with b, is below 2^-1075
-    at b = 3 from n = 1100 on.  Returns (alpha, beta, e).
+    Both are stored times 9^-j: the terms at b = 3, every one positive.
+    Terms are added until the next one at b = 3 is below 2^-57 of the
+    sum and at most half the one before; the term ratio falls with j, so
+    the rest is below 2^-56.
+
+    As the sums over i are positive and H_x <= x + 1, term j is at most
+    4 c_(2j) b^(-2j) (log b + n/4 + j + 1) / (n-1); with x = 1/b <= 1/3,
+    sum_j c_(2j) x^(2j) <= (1-x)^-n and sum_j 2j c_(2j) x^(2j) <= n x
+    (1-x)^(-n-1) <= (n/2) (1-x)^-n give m_n(b) <= 4 (log b + n/2 + 1) b /
+    ((n-1) (b-1)^n), which falls with b and passes below 2^-1075 at b = 3
+    at n = 1078.  _far_field returns 0.0 there without a table, so tables
+    are built only for n < 1078, where c_(2j) 9^-j <= (3/2)^n < 2^631
+    keeps every sum finite.  Returns (alpha, beta).
     """
     # h = H_((n-1)/2) + H_(1/2), advanced by H_(x+1) = H_x + 1/(x+1)
     # with its rounding carried in h_err; 2 H_(2m+1) - H_m
@@ -149,11 +153,10 @@ def _far_field_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...
         summands = [2.0 / k for k in range(1, n, 2)] + [2.0, -4.0 * l2]
     h = math.fsum(summands)
     h_err = 0.0
-    scale = max(0, math.ceil(n * math.log2(1.5)) - 1000)
     binom = 1  # c_(2j), exact
-    nine_j = 1 << scale  # 9^j 2^scale, exact
-    u: list[float] = []  # c_(2k) 9^-k 2^-scale / (2k+1)
-    v: list[float] = []  # c_(2k) 9^-k 2^-scale / (n+2k-1)
+    nine_j = 1  # 9^j, exact
+    u: list[float] = []  # c_(2k) 9^-k / (2k+1)
+    v: list[float] = []  # c_(2k) 9^-k / (n+2k-1)
     w: list[float] = []  # 9^-i / i for i = 1, 2, ...
     alpha: list[float] = []
     beta: list[float] = []
@@ -188,21 +191,24 @@ def _far_field_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...
         binom = binom * q * (q + 1) // ((2 * j + 1) * (2 * j + 2))
         nine_j *= 9
         j += 1
-    return tuple(alpha), tuple(beta), scale
+    return tuple(alpha), tuple(beta)
 
 
 def _far_field(n: int, b: float) -> float:
     """Far-field series for b >= 3, by Horner's rule in x = 9/b^2.
 
-    Every stored term, top term first.  Horner's rule carries the
-    rounding of x into term j about j times, which costs up to 3.5e-15
-    at n = 100 near b = 3, so the slope adds back the exact 9/b^2 - x,
-    from the integer ratios of b and x, to first order.  b^(1-n) is then
-    powers of b's mantissa, in chunks that stay normal, and an exponent
-    shift, which takes the coefficients' 2^e too.
+    0.0, before any table, where _far_field_coefficients' bound on m_n(b)
+    is below e^-745.2 < 2^-1075, half the least subnormal.  Else every
+    stored term, top term first.  Horner's rule carries the rounding of x
+    into term j about j times, which costs up to 3.5e-15 at n = 100 near
+    b = 3, so the slope adds back the exact 9/b^2 - x, from the integer
+    ratios of b and x, to first order.  b^(1-n) is then powers of b's
+    mantissa, in chunks that stay normal, and an exponent shift.
     """
-    alpha, beta, scale = _far_field_coefficients(n)
     lb = math.log(b)
+    if math.log(4.0 * (lb + 0.5 * n + 1.0) / (n - 1)) + lb - n * math.log(b - 1.0) < -745.2:
+        return 0.0
+    alpha, beta = _far_field_coefficients(n)
     x = 9.0 / (b * b)
     acc = slope = 0.0
     for a, c in zip(reversed(alpha), reversed(beta)):
@@ -214,7 +220,7 @@ def _far_field(n: int, b: float) -> float:
     k = n - 1
     acc, shift = math.frexp(acc)
     frac, exp = math.frexp(b)
-    shift += scale - exp * k
+    shift -= exp * k
     while k:
         step = min(k, 1000)
         acc, e = math.frexp(acc / frac**step)

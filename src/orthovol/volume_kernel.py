@@ -5,7 +5,7 @@ geodesic boundary contributes a kernel value; the volume is their sum
 over the orthospectrum.  For n = 2 the kernel is a Rogers dilogarithm
 expression.  For n >= 3 one table per dimension serves every length: a
 series in s = 1 - e^(-2l), closed for odd n, which even n sums below
-l = ln 2 / 2, and from there on Euler's series in t = e^(-2l).
+l = ln(4/3) / 2, and from there on Euler's series in t = e^(-2l).
 The inner kernel's integral, kept in two parametrizations as the tests'
 reference, never serves volume_kernel; it runs on scipy's QUADPACK
 through adaptive_quad, so only these two forms need the test extra.
@@ -24,8 +24,9 @@ from .special import dimension, harmonic, rogers_l
 
 __all__ = ["KernelValue", "volume_kernel", "small_length_constant"]
 
-# even n sums the t-series from l = ln 2 / 2 (t = e^(-2l) <= 1/2) on
-_SERIES_CUT = 0.5 * math.log(2.0)
+# even n sums the t-series from l = ln(4/3) / 2 (t = e^(-2l) <= 3/4) on
+_SERIES_CUT = 0.5 * math.log(4.0 / 3.0)
+_HALF_S = 0.5 * math.log(2.0)  # where s = 1/2: T's terms are bounded there
 _EPS = sys.float_info.epsilon
 # a series stops once its tail bound is below this share of the sum, and
 # its coefficients run until the bound at the cut is below the smaller
@@ -231,11 +232,12 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
     compensated sums.  W_k has W_0's sign, b_k > 0 falls and
     g_k <= 0, so for s <= 1/2 term k of s^(n-2) T is at most a_k =
     |W_k| s^(n-2+k) ((l - g_k)(b_k - L) + psi'(n-1+k)) <= lam y^(n-2+k) A_k,
-    with y = 2s, lam = -log2 s >= 1 and A_k = a_k at the cut (y = 1).
-    There a_(k+1) / a_k <= R = (n-1+2k) / (4k) for k >= 1 (W's ratio
-    times the bracket's (k+1) / k), falling with k; terms are built until
-    a_k R / (1 - R) < 2^-60 S.  C_(k+1), the A_j past term k plus that
-    bound, makes lam y^(n-1+k) C_(k+1) a bound on the rest after term k.
+    with y = 2s, lam = -log2 s >= 1 and A_k = a_k at s = 1/2 (y = 1,
+    l = ln 2 / 2).  There a_(k+1) / a_k <= R = (n-1+2k) / (4k) for k >= 1
+    (W's ratio times the bracket's (k+1) / k), falling with k; terms are
+    built until a_k R / (1 - R) < 2^-60 S, S at s = 1/2.  C_(k+1), the A_j
+    past term k plus that bound, makes lam y^(n-1+k) C_(k+1) a bound on
+    the rest after term k.
     While the terms are built, psi'(n-1+k) < 1/(n-2+k) stands in for
     psi', so A_k stays a bound.  Then one _trigamma value at n-1+K, K the
     term count, gives every psi'(n-1+k) by psi'(j) = psi'(j+1) + 1/j^2
@@ -250,19 +252,22 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
         e_(K+1) = e_K - (n-1) / ((K+1)(n+1+2K)),
 
     c_n = H_((n-1)/2) = 2 (1 + 1/3 + ... + 1/(n-1)) - 2 log 2, the steps
-    summing to c_n (partial fractions).  |q_K| falls and e_K falls to 0,
-    so each term is at most t times the one before and the rest after a
-    term at most t / (1 - t) times it: a proved bound.  q_K is a correctly
-    rounded ratio of exact integers, q_K e_K the product with a compensated
-    e_K (within e_0 eps).  Terms are built until the last at the cut is
-    below 2^-60 of the sum there (42 at n = 4, 18 at n = 20, 56 at
-    n = 2000).  There each term is at most half the one before, and for
-    K >= 2 term K over the first term falls with l, so _s_kernel's stop
-    test is met within the table at every l from the cut on.
+    summing to c_n (partial fractions).  As |q_(K+1) / q_K| <= 1 and
+    0 <= e_K <= e_0, term K of S / l is at most a_0 |q_K / q_0| t^K with
+    a_0 = q_0 (1 + e_0 / l), the rest from term K on at most that over
+    1 - t, and all |terms| at most a_0 / (1 - t): proved at every t < 1.
+    q_K and |q_K / q_0| are correctly rounded ratios of exact integers,
+    q_K e_K the product with a compensated e_K (within e_0 eps).  The
+    table holds q_0, q_0 e_0, then steps of four (q_K, q_K e_K) from K = 1,
+    each with its first |q_K / q_0|, up to the end of the first step that
+    starts at or past a term at the cut (t = 3/4) below 2^-60 of the sum
+    there: 93 terms at n = 4, 29 at 20, 73 at 400, 109 at 2000.  At every
+    length tried from the cut on (even n to 200, 400, 500, 1000, 2000,
+    4000) _s_kernel stops within the table.
 
     Returns (log c, c, l_max, x_max, [(r_k, r_k e_k)] from the top degree
-    down, [(v_k, g_k, b_k, psi'(n-1+k), C_(k+1))], C_0, [(q_K, q_K e_K)]),
-    the last two lists empty for odd n.  Where
+    down, [(v_k, g_k, b_k, psi'(n-1+k), C_(k+1))], C_0, (q_0, q_0 e_0,
+    [steps])), the last two empty for odd n.  Where
     (n-1) l < l_max (n-1) = 700 + min(log c, 0) and x = u / s < x_max =
     e^(690/(n-2)), every factor and partial product of c S u x^(n-2) is
     normal: 1 <= S <= (350 + H_(n-2)) n, log c <= 1.2 and log c > -300
@@ -291,24 +296,28 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
     coefs.reverse()
     if n % 2:
         return log_c, c, l_max, x_max, coefs, [], 0.0, []
-    # the t-series' q_K = num / den and q_K e_K; its sum at the cut is S there
+    # the t-series' q_K = num / den, q_K e_K and |q_K / q_0|; its sums at the
+    # cut and at s = 1/2 are S there
     num, den = 2 * (n - 2), n - 1
     e = math.fsum([2.0 / j for j in range(1, n, 2)] + [-2.0 * _LN2])
-    e_err = total = 0.0
-    t_terms, k = [], 0
-    while True:
+    e_err = total = half = 0.0
+    t_terms, k, stop = [], 0, math.inf
+    while k < stop:
         q, ek = num / den, e + e_err
-        t_terms.append((q, q * ek))
-        term = math.ldexp(q * (_SERIES_CUT + ek), -k)
+        t_terms.append((q, q * ek, abs(num) * (n - 1) / (den * 2 * (n - 2))))
+        term = q * (_SERIES_CUT + ek) * 0.75**k
         total += term
+        half += math.ldexp(q * (_HALF_S + ek), -k)
         if abs(term) <= _BUILD_TAIL * total:
-            break
+            stop = min(stop, k + (1 - k) % 4 + 4)
         step = (1 - n) / ((k + 1) * (n + 1 + 2 * k))
         e, e_err = e + step, e_err + (step - ((e + step) - e))
         num *= 3 - n + 2 * k
         den *= n + 1 + 2 * k
         k += 1
-    # the terms of T at the cut, L = -log 2, until they are below 2^-60 of S
+    t_series = (*t_terms[0][:2], [(*t_terms[j][:2], *t_terms[j + 1][:2], *t_terms[j + 2][:2],
+                                   *t_terms[j + 3][:2], t_terms[j][2]) for j in range(1, k, 4)])
+    # the terms of T at s = 1/2, L = -log 2, until they are below 2^-60 of S
     fact = math.factorial
     num = (-1) ** (n // 2) * fact(n) * (n - 2)
     den = fact(n // 2) * fact(n // 2 - 1) * (n - 1) << 3 * n - 5
@@ -318,10 +327,10 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
     while True:
         # psi'(n-1+k) < 1/(n-2+k) keeps A_k a bound until psi' is filled in
         v, gk, bk, psi = num / den, g + g_err, b + b_err, 1.0 / (n - 2 + k)
-        a = abs(v) * ((_SERIES_CUT - gk) * (bk + _LN2) + psi)
+        a = abs(v) * ((_HALF_S - gk) * (bk + _LN2) + psi)
         terms.append([v, gk, bk, psi, a])
         r = (n - 1 + 2 * k) / (4 * k) if k else 1.0
-        if r < 1.0 and a * r <= _BUILD_TAIL * (1.0 - r) * total:
+        if r < 1.0 and a * r <= _BUILD_TAIL * (1.0 - r) * half:
             break
         step = -1.0 / (n - 1 + k)
         g, g_err = g + step, g_err + (step - ((g + step) - g))
@@ -339,27 +348,30 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
         psi, psi_err = psi + step, psi_err + (step - ((psi + step) - psi))
         v, gk, bk, _, _ = term
         term[3] = psi + psi_err
-        term[4] = abs(v) * ((_SERIES_CUT - gk) * (bk + _LN2) + term[3])
+        term[4] = abs(v) * ((_HALF_S - gk) * (bk + _LN2) + term[3])
     # each term's C_(k+1), then C_0
     rest = terms[-1][4] * r / (1.0 - r)
     for term in reversed(terms):
         term[4], rest = rest, rest + term[4]
-    return log_c, c, l_max, x_max, coefs, [tuple(term) for term in terms], rest, t_terms
+    return log_c, c, l_max, x_max, coefs, [tuple(term) for term in terms], rest, t_series
 
 
 def _s_kernel(n: int, l: float) -> KernelValue:
     """F_n(l) = c u^(n-1) s^(2-n) S for n >= 3 from _s_coefficients' table.
 
-    Below ln 2 / 2, and for odd n at every l, S is the s-series at
+    Below ln(4/3) / 2, and for odd n at every l, S is the s-series at
     s = -expm1(-2l): P and Q by Horner's rule, for even n also l P + Q on
     |coefficients| and T term by term in y = 2s until the bound on its
     rest, which joins the estimate, is below 2^-54 of l P + Q.  Even n
-    from there on sums S / l = sum_K t^K (q_K + q_K e_K / l), t = e^(-2l),
-    and its |terms| until the bound on the rest, t / s times the last
-    |term|, is below 2^-54 of the |terms| summed; it joins the estimate
-    too.  Off the linear scale the value is exp(log c -
-    (n-1) l - (n-2) log s + log S), 0 or inf only where F under- or
-    overflows; log_value holds F (-inf only past l = max double / (n-1)).
+    from there on sums S / l = sum_K t^K (q_K + q_K e_K / l), t = e^(-2l):
+    its first term a_0 = q_0 (1 + e_0 / l), then steps of four terms by
+    Horner's rule in t times t^K, K a step's first term, each while the
+    bound on the rest from K on, a_0 |q_K / q_0| t^K / s, is above 2^-54
+    of the sum; it joins the estimate too (past the table it still bounds
+    the rest, as |q_K| falls).  Off the linear scale the value is
+    exp(log c - (n-1) l - (n-2) log s + log S), 0 or inf only where F
+    under- or overflows; log_value holds F (-inf only past l = max
+    double / (n-1)).
 
     Relative error estimate, in eps, to first order (exp, expm1, log, pow
     within an ulp, roundings within half of one; p terms in P, K in T):
@@ -371,11 +383,13 @@ def _s_kernel(n: int, l: float) -> KernelValue:
       for y^(n-2+k), pow then k products; 1.5 for l + g_k; 4 for L + b_k,
       |L| >= log 2; 1 for their product; 2.5 for psi' and the difference;
       1 for v_k and its product).  Odd n has A = S, K = B = 0: poly = n;
-    - t-series, poly = (2K + 1 + q_0 e_0 / l) A / S, A = sum |terms|, K
-      terms: term k within 1.5k + 2.5 (t^k from k - 1 products of t, within
-      1; q_k, 1/l, q_k e_k, the quotient, the sum and the product), e_k
-      within e_0 eps, so within q_0 e_0 / l of l + e_k, K - 1 additions
-      within (K-1)/2 of A, l times S / l within 1/2;
+    - t-series, poly = (7M + 6 + q_0 e_0 / l) a_0 / (s S / l), M steps
+      read, a_0 / s >= A = sum |terms|: term K = 4m + 1 + i within
+      1.5K + 5.5 (K for t^K, t within 1; 2m <= K/2 for t^4, three
+      products, and m more; 3 for the step's i products by t and three
+      additions; 1/2 for t^K times the step; 2 for q_K + q_K e_K / l),
+      plus q_0 e_0 / l from e_K; M additions of steps within M/2 of A and
+      l times S / l within 1/2, (6.5M + 6) A in all;
     - linear scale, 3n + 3 + poly: 1 for u, 2.5 (n-2) + 1 for x^(n-2) (x
       within 2.5), 0.1 n + 2 for c (pi^p, p < n/2), 1.5 for the products;
     - log scale, 4n + 2 + poly + 5S', S' = |log c| + (n-1) l +
@@ -385,26 +399,26 @@ def _s_kernel(n: int, l: float) -> KernelValue:
       three additions, 1 for exp;
     plus the tail bound over S, and an ulp for subnormal results.
     """
-    log_c, c, l_max, x_max, coefs, terms, rest_0, t_terms = _s_coefficients(n)
+    log_c, c, l_max, x_max, coefs, terms, rest_0, t_series = _s_coefficients(n)
     s = -math.expm1(-2.0 * l)
     if l >= _SERIES_CUT and not n % 2:
         # S / l stands as P with Q = 0, which the log scale reads past l = 1
         t = math.exp(-2.0 * l)
+        t4 = t * t * t * t
         il = 1.0 / l
-        limit = _SERIES_TAIL * s
-        p = q = first = 0.0
-        power = 1.0
-        for count, (r, e) in enumerate(t_terms, 1):
-            a = power * (r + e * il)
-            p += a
-            a = abs(a)
-            first += a
-            if a * t <= limit * first:
+        r, e, steps = t_series
+        p = a_0 = r + e * il
+        limit = _SERIES_TAIL * s / a_0
+        q, t_k = 0.0, t
+        for count, (r1, e1, r2, e2, r3, e3, r4, e4, ratio) in enumerate(steps, 1):
+            if ratio * t_k <= limit * p:
                 break
-            power *= t
+            p += t_k * (r1 + e1 * il + t * (r2 + e2 * il + t * (r3 + e3 * il + t * (r4 + e4 * il))))
+            t_k *= t4
         total = l * p
-        tail = a * t / (s * p)
-        poly = (2 * count + 1 + t_terms[0][1] * il) * first / p
+        w = a_0 / (s * p)
+        tail = ratio * t_k * w
+        poly = (7 * count + 6 + e * il) * w
     else:
         p = q = 0.0
         for r, e in coefs:
@@ -457,10 +471,10 @@ def volume_kernel(n: int, l: float) -> KernelValue:
     dilogarithm, with zero error estimate; it falls from 2 pi / 3 at
     l = 0+ and sums to the boundary area over the spectrum.  Every n >= 3
     sums its dimension's one table (_s_kernel): odd n the s-series at
-    every length, even n the s-series below l = ln 2 / 2 and the t-series
-    from there on, with a relative estimate of a few eps times n, the term
-    count or (n-1) l; value is 0 or inf only where F under- or overflows,
-    and log_value holds F there.
+    every length, even n the s-series below l = ln(4/3) / 2 and the
+    t-series from there on, with a relative estimate of a few eps times
+    n, the term count or (n-1) l; value is 0 or inf only where F under-
+    or overflows, and log_value holds F there.
 
     A Python int n >= 2 with 0 < l < inf passes one comparison; anything
     else goes to the check, which takes n through __index__ (a numpy

@@ -56,13 +56,15 @@ BENCH_REFERENCE = os.path.join(HERE, os.pardir, "perfbench", "reference.json")
 DIMENSIONS = (*range(2, 11), 13, 16, 20, 21, 25, 30, 39, 40, 41, 50, 51, 59, 60,
               80, 99, 100, 101, 200, 201, 400, 401, 500, 600, 601, 1000, 1001,
               2000, 2001)
-# ln 2 / 2, where even n switches from the s-series to the t-series, and
-# the double below it
-CUT = 0.5 * math.log(2.0)
-LENGTHS = (1e-300, 1e-100, 1e-12, 1e-9, 3.2e-9, 1e-6, 1e-3, 0.1, 0.3,
-           math.nextafter(CUT, 0.0), CUT, 0.35, 0.4, 0.5, 0.7, 1.0, 1.5, 2.0,
-           3.0, 5.0, 8.0, 10.0, 12.0, 20.0, 30.0, 50.0, 100.0, 200.0, 354.0,
-           400.0, 700.0, 1000.0, 3000.0, 1e4, 1e100, 1e300)
+# ln(4/3) / 2, where even n switches from the s-series to the t-series,
+# and the double below it; ln 2 / 2, the cut before it, stays a length
+CUT = 0.5 * math.log(4.0 / 3.0)
+HALF_S = 0.5 * math.log(2.0)
+LENGTHS = (1e-300, 1e-100, 1e-12, 1e-9, 3.2e-9, 1e-6, 1e-3, 0.1,
+           math.nextafter(CUT, 0.0), CUT, 0.2, 0.25, 0.3,
+           math.nextafter(HALF_S, 0.0), HALF_S, 0.35, 0.4, 0.5, 0.7, 1.0, 1.5,
+           2.0, 3.0, 5.0, 8.0, 10.0, 12.0, 20.0, 30.0, 50.0, 100.0, 200.0,
+           354.0, 400.0, 700.0, 1000.0, 3000.0, 1e4, 1e100, 1e300)
 # at and below this length a row is the small-length law
 LAW_BELOW = 1e-20
 # (n, l) checked against the radial integral, a few seconds each
@@ -93,8 +95,9 @@ def kernel(n, l):
     b = a / 2
     c = mp.mpf(n + 1) / 2
     t = mp.exp(-2 * l)
-    series = mp.hyp2f1(a, b, c, t)
-    slope = mp.diff(lambda s: mp.hyp2f1(a + s, b, c + s, t), 0)
+    # near t = 3/4 the series of n = 2000 runs past mpmath's default term limit
+    series = mp.hyp2f1(a, b, c, t, maxterms=10**6)
+    slope = mp.diff(lambda s: mp.hyp2f1(a + s, b, c + s, t, maxterms=10**6), 0)
     return coef(n) * t ** b * ((l + mp.harmonic(b)) * series - slope)
 
 

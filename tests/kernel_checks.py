@@ -3,7 +3,7 @@
 tests/data/kernel_reference.json (written by tests/gen_kernel_reference.py)
 holds F_n(l) and log F_n(l) to 20 digits for n = 2..2001 and
 l = 1e-300..1e300.  tests/test_odd_kernel.py gates its rows below
-l = ln 2 / 2, tests/test_series.py those from there on and every row of
+l = ln(4/3) / 2, tests/test_series.py those from there on and every row of
 n = 2, each row once and all by one rule.
 """
 

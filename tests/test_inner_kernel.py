@@ -185,9 +185,8 @@ def test_integral_oracle_within_its_estimate_of_reference(n, b):
 
 def _series_coefficients(n):
     # alpha_j, beta_j of b^(n-1) m_n(b) = sum_j b^(-2j) (alpha_j log b + beta_j);
-    # _far_field_coefficients stores them times 9^-j (its scale is 2^0 up
-    # to n = 1709)
-    alpha, beta, _ = _far_field_coefficients(n)
+    # _far_field_coefficients stores them times 9^-j
+    alpha, beta = _far_field_coefficients(n)
     return (
         [a * 9.0**j for j, a in enumerate(alpha)],
         [c * 9.0**j for j, c in enumerate(beta)],
@@ -244,18 +243,40 @@ def _far_field_majorant(n, b):
             j += 1
 
 
-@pytest.mark.parametrize("n", [1750, 1800, 2000, 3000])
+@pytest.mark.parametrize("n", [1100, 1750, 1800, 2000, 3000, 3530])
 def test_far_field_at_large_n(n):
     # m_1800 returned inf at b = 5 and nan at b = 3 (the terms at b = 3,
     # which grow like (3/2)^n, overflowed); from n ~ 2000 the coefficients
     # raised OverflowError.  A finite value >= 0, and 0.0 wherever even
-    # a bound on m_n(b) is below half the least subnormal.
+    # a bound on m_n(b) is below half the least subnormal, without
+    # building a table: the first call at n = 1100..3530 built 490-1574
+    # terms (25-301 ms) only to return 0.0
+    _far_field_coefficients.cache_clear()
     for b in (3.0, 5.0, 1e300):
         got = inner_kernel(n, b)
         assert math.isfinite(got) and got >= 0.0
         bound = _far_field_majorant(n, b)
         assert bound < mpmath.mpf(2) ** -1075
         assert got == 0.0
+    assert _far_field_coefficients.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("n", [3, 8, 60, 400, 1077, 1078])
+def test_far_field_zero_bound_holds(n):
+    # the bound _far_field tests before any table, 4 (log b + n/2 + 1) b /
+    # ((n-1) (b-1)^n), is at least the 40-digit majorant of m_n(b); at
+    # b = 3 it first passes below 2^-1075 at n = 1078
+    for b in (3.0, 5.0, 1e3, 1e300):
+        with mpmath.workdps(40):
+            b_mp = mpmath.mpf(b)
+            bound = 4 * (mpmath.log(b_mp) + mpmath.mpf(n) / 2 + 1) * b_mp
+            bound /= (n - 1) * (b_mp - 1) ** n
+            assert bound >= _far_field_majorant(n, b)
+            if b == 3.0:
+                assert (bound < mpmath.mpf(2) ** -1075) == (n >= 1078)
+    misses = _far_field_coefficients.cache_info().misses
+    inner_kernel(n, 3.0)
+    assert _far_field_coefficients.cache_info().misses - misses <= (n < 1078)
 
 
 def test_dimension_through_index():
@@ -371,7 +392,7 @@ def test_far_field_coefficients_against_exact(n):
     # exact value, relative to the term alpha_j log b + beta_j at b = 3,
     # where it weighs most.  That needs the rounding of the running
     # harmonic sums carried along: without it 6.9e-16 at n = 100.
-    alpha, beta, _ = _far_field_coefficients(n)
+    alpha, beta = _far_field_coefficients(n)
     log3 = math.log(3.0)
     for j, (a, p, q) in enumerate(exact_series_coefficients(n, len(alpha))):
         scale = Fraction(1, 9**j)

@@ -1,8 +1,8 @@
-"""The s-series of volume_kernel: its values below ln 2 / 2, its coefficients,
+"""The s-series of volume_kernel: its values below ln(4/3) / 2, its coefficients,
 and the paths it never takes.
 
 Odd n sums the s-series in s = 1 - e^(-2l) at every length, where it is
-a closed form; even n sums it below ln 2 / 2, with a second, log-s sum.
+a closed form; even n sums it below ln(4/3) / 2, with a second, log-s sum.
 The rows of the 40-digit table below the cut are gated here, the rest in
 tests/test_series.py.
 """
@@ -107,7 +107,8 @@ def test_even_coefficients(n):
     # the first sum as for odd n, with n - 2 terms; the second sum's
     # v_k = W_k / 2^(n-2+k) correctly rounded, g_k, b_k and psi'(n-1+k)
     # within a few ulp of 40-digit values, and the bounds C_k on the rest
-    # positive, each C_(k+1) + a_k with a_k from the stored psi'(n-1+k), and
+    # positive, each C_(k+1) + a_k with a_k at s = 1/2 (l = ln 2 / 2, where
+    # T's terms are bounded) from the stored psi'(n-1+k), and
     # falling strictly unless a_k is below an ulp of C_k (from n = 200, where
     # |W_k| grows by 10^30 along the table)
     check_coefficients(n)
@@ -116,7 +117,7 @@ def test_even_coefficients(n):
     rests = [rest_0] + [term[4] for term in terms]
     assert rests[-1] > 0.0
     for (v, g, b, psi, rest), prev in zip(terms, rests):
-        a = abs(v) * ((_SERIES_CUT - g) * (b + math.log(2.0)) + psi)
+        a = abs(v) * ((0.5 * math.log(2.0) - g) * (b + math.log(2.0)) + psi)
         assert a > 0.0 and prev == rest + a
         assert prev > rest or a < math.ulp(prev)
     fact = math.factorial
@@ -185,6 +186,6 @@ def test_odd_positive_and_decreasing(n, lengths):
 @given(n=st.integers(2, 1000).map(lambda k: 2 * k),
        lengths=st.tuples(BELOW_CUT, BELOW_CUT))
 def test_even_total_below_cut(n, lengths):
-    # even n = 4..2000 is total on l = 1e-300..ln 2 / 2; pairs that reach
+    # even n = 4..2000 is total on l = 1e-300..ln(4/3) / 2; pairs that reach
     # the cut are drawn in tests/test_series.py
     check_total(n, *sorted(lengths))

@@ -194,7 +194,7 @@ def test_small_length_band_dimension_three():
 
 def test_dispatcher_routes(monkeypatch):
     # Dimension 2 uses the closed form (no quadrature error).  Below
-    # l = ln 2 / 2 dimension 4 is the s-series, from there on the
+    # l = ln(4/3) / 2 dimension 4 is the s-series, from there on the
     # t-series; odd dimensions take the s-series at every length.  Each
     # agrees with the radial quadrature within the two estimates from
     # l = 0.1 on (below that the quadrature's estimate is no bound: at

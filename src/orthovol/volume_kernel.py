@@ -4,11 +4,12 @@ Each orthogeodesic of length l of a hyperbolic n-manifold with totally
 geodesic boundary contributes a kernel value; the volume is their sum
 over the orthospectrum.  For n = 2 the kernel is a Rogers dilogarithm
 expression.  For n >= 3 one table per dimension serves every length: a
-series in s = 1 - e^(-2l), closed for odd n, which even n sums below
-l = ln(4/3) / 2, and from there on Euler's series in t = e^(-2l).
-The inner kernel's integral, kept in two parametrizations as the tests'
-reference, never serves volume_kernel; it runs on scipy's QUADPACK
-through adaptive_quad, so only these two forms need the test extra.
+series in s = 1 - e^(-2l), closed for odd n; even n sums it below l =
+ln(4/3) / 2 and Euler's series in t = e^(-2l) from there on, each in
+steps of four terms to a proved rest bound.  The inner kernel's
+integral, kept in two parametrizations as the tests' reference, never
+serves volume_kernel; it runs on scipy's QUADPACK through adaptive_quad,
+so only these two forms need the test extra.
 """
 
 from __future__ import annotations
@@ -209,6 +210,12 @@ def _trigamma(j: int) -> float:
     return (1.0 + 0.5 / j + series) / j
 
 
+def _stepped(rows: list, *columns: list) -> tuple[tuple, list]:
+    """(rows[0], steps): step m is rows[4m+1..4m+4] flat, zero-padded, then each columns[i][m]."""
+    it = iter(rows[1:] + [(0.0, 0.0)] * (-(len(rows) - 1) % 4))
+    return rows[0], [(*a, *b, *c, *d, *x) for a, b, c, d, *x in zip(it, it, it, it, *columns)]
+
+
 @cache
 def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, float, list]:
     """Constants and coefficients of the kernel's series, for every n >= 3.
@@ -226,24 +233,28 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
         b_k = 2 (1 + 1/3 + ... + 1/(n-3+2k)) - H_k - 2 log 2.
 
     For odd n, r_k is 0 from k = (n-1)/2 and T is 0, so S is a polynomial
-    with positive coefficients.  r_k, r_k e_k, c and v_k = W_k / 2^(n-2+k)
-    (normal for n <= 400) are correctly rounded ratios of exact integers,
-    e_k's numerators over d = lcm(1, ..., n-2), and g_k and b_k are
-    compensated sums.  W_k has W_0's sign, b_k > 0 falls and
-    g_k <= 0, so for s <= 1/2 term k of s^(n-2) T is at most a_k =
-    |W_k| s^(n-2+k) ((l - g_k)(b_k - L) + psi'(n-1+k)) <= lam y^(n-2+k) A_k,
-    with y = 2s, lam = -log2 s >= 1 and A_k = a_k at s = 1/2 (y = 1,
-    l = ln 2 / 2).  There a_(k+1) / a_k <= R = (n-1+2k) / (4k) for k >= 1
-    (W's ratio times the bracket's (k+1) / k), falling with k; terms are
-    built until a_k R / (1 - R) < 2^-60 S, S at s = 1/2.  C_(k+1), the A_j
-    past term k plus that bound, makes lam y^(n-1+k) C_(k+1) a bound on
-    the rest after term k.
-    While the terms are built, psi'(n-1+k) < 1/(n-2+k) stands in for
-    psi', so A_k stays a bound.  Then one _trigamma value at n-1+K, K the
-    term count, gives every psi'(n-1+k) by psi'(j) = psi'(j+1) + 1/j^2
-    (DLMF 5.15.5), summed down compensated (within 2.5 ulp of 40-digit
-    values for even n = 4..400, 1000, 2000), and each A_k is recomputed
-    from it before the C_k are summed.
+    with positive coefficients.  For even n, r_k changes sign past (n-3)/2,
+    but e_k >= 0: where s <= 1/4 (below the cut) l P + Q's terms from degree
+    k on are in size at most s^k (l cp_k + cq_k), (cp_k, cq_k) >= sum_(j>=k)
+    |r_j| (1, e_j) 4^(k-j), summed down as |r_k| + cp_(k+1) / 4, raised two
+    doubles: its three roundings (r_k or r_k e_k, the quarter if subnormal,
+    the sum, no part above it) lose at most half a gap above the sum each.
+    r_k, r_k e_k, c and v_k = W_k / 2^(n-2+k) (normal for n <= 400) are
+    correctly rounded ratios of exact integers, e_k's numerators over d =
+    lcm(1, ..., n-2), and g_k and b_k are compensated sums.  W_k has W_0's
+    sign, b_k > 0 falls and g_k <= 0, so for s <= 1/2 term k of s^(n-2) T is
+    at most a_k = |W_k| s^(n-2+k) ((l - g_k)(b_k - L) + psi'(n-1+k)) <= lam
+    y^(n-2+k) A_k, with y = 2s, lam = -log2 s >= 1 and A_k = a_k at s = 1/2
+    (y = 1, l = ln 2 / 2).  There a_(k+1) / a_k <= R = (n-1+2k) / (4k) for
+    k >= 1 (W's ratio times the bracket's (k+1) / k), falling with k; terms
+    are built until a_k R / (1 - R) < 2^-60 S, S at s = 1/2.  C_(k+1), the
+    A_j past term k plus that bound, makes lam y^(n-1+k) C_(k+1) a bound on
+    the rest after term k.  While the terms are built, psi'(n-1+k) <
+    1/(n-2+k) stands in for psi', so A_k stays a bound.  Then one _trigamma
+    value at n-1+K, K the term count, gives every psi'(n-1+k) by psi'(j) =
+    psi'(j+1) + 1/j^2 (DLMF 5.15.5), summed down compensated (within 2.5 ulp
+    of 40-digit values for even n = 4..400, 1000, 2000), and each A_k is
+    recomputed from it before the C_k are summed.
 
     For even n from the cut on, the same S is Euler's form in t = 1 - s,
 
@@ -252,22 +263,21 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
         e_(K+1) = e_K - (n-1) / ((K+1)(n+1+2K)),
 
     c_n = H_((n-1)/2) = 2 (1 + 1/3 + ... + 1/(n-1)) - 2 log 2, the steps
-    summing to c_n (partial fractions).  As |q_(K+1) / q_K| <= 1 and
-    0 <= e_K <= e_0, term K of S / l is at most a_0 |q_K / q_0| t^K with
-    a_0 = q_0 (1 + e_0 / l), the rest from term K on at most that over
-    1 - t, and all |terms| at most a_0 / (1 - t): proved at every t < 1.
-    q_K and |q_K / q_0| are correctly rounded ratios of exact integers,
-    q_K e_K the product with a compensated e_K (within e_0 eps).  The
-    table holds q_0, q_0 e_0, then steps of four (q_K, q_K e_K) from K = 1,
-    each with its first |q_K / q_0|, up to the end of the first step that
+    summing to c_n (partial fractions), so e_K falls to 0.  As
+    |q_(K+1) / q_K| <= 1, the rest of S / l from term K on is at most
+    |q_K + q_K e_K / l| t^K / (1 - t), and all |terms| at most a_0 / (1 - t),
+    a_0 = q_0 (1 + e_0 / l): proved at every t < 1.  q_K is a correctly
+    rounded ratio of exact integers, q_K e_K the product with a
+    compensated e_K (within e_0 eps), up to the end of the first step that
     starts at or past a term at the cut (t = 3/4) below 2^-60 of the sum
-    there: 93 terms at n = 4, 29 at 20, 73 at 400, 109 at 2000.  At every
-    length tried from the cut on (even n to 200, 400, 500, 1000, 2000,
-    4000) _s_kernel stops within the table.
+    there: 93 terms at n = 4, 29 at 20, 73 at 400, 109 at 2000.
 
-    Returns (log c, c, l_max, x_max, [(r_k, r_k e_k)] from the top degree
-    down, [(v_k, g_k, b_k, psi'(n-1+k), C_(k+1))], C_0, (q_0, q_0 e_0,
-    [steps])), the last two empty for odd n.  Where
+    Returns (log c, c, l_max, x_max, P and Q, [(v_k, g_k, b_k, psi'(n-1+k),
+    C_(k+1))], C_0, ((q_0, q_0 e_0), [steps])), the last three empty for
+    odd n, whose P and Q are [(r_k, r_k e_k)] from the top degree down.
+    Even n's are ((1, e_0, cp_0, cq_0), [steps]), step m the (r_k, r_k e_k),
+    k = 4m+1..4m+4 (0 past n - 3), then (cp, cq) at 4m + 1; a t-series
+    step is (q_K, q_K e_K), K = 4m+1..4m+4, never padded.  Where
     (n-1) l < l_max (n-1) = 700 + min(log c, 0) and x = u / s < x_max =
     e^(690/(n-2)), every factor and partial product of c S u x^(n-2) is
     normal: 1 <= S <= (350 + H_(n-2)) n, log c <= 1.2 and log c > -300
@@ -293,18 +303,22 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
         num, den = n - 3 - 2 * k, 2 * (n - 3 - k)
         g, h = math.gcd(num, rd), math.gcd(den, rn)
         rn, rd = rn // h * (num // g), rd // g * (den // h)
-    coefs.reverse()
     if n % 2:
-        return log_c, c, l_max, x_max, coefs, [], 0.0, []
-    # the t-series' q_K = num / den, q_K e_K and |q_K / q_0|; its sums at the
-    # cut and at s = 1/2 are S there
+        return log_c, c, l_max, x_max, coefs[::-1], [], 0.0, []
+    after, up, cp, cq, bounds = math.nextafter, math.inf, 0.0, 0.0, []
+    for r, re in reversed(coefs):
+        cp = after(after(abs(r) + 0.25 * cp, up), up)
+        cq = after(after(abs(re) + 0.25 * cq, up), up)
+        bounds.append((cp, cq))
+    head, steps = _stepped(coefs, *zip(*bounds[-2::-4]))
+    # the t-series' q_K = num / den and q_K e_K; its sums at t = 3/4 and 1/2 are S there
     num, den = 2 * (n - 2), n - 1
     e = math.fsum([2.0 / j for j in range(1, n, 2)] + [-2.0 * _LN2])
     e_err = total = half = 0.0
     t_terms, k, stop = [], 0, math.inf
     while k < stop:
         q, ek = num / den, e + e_err
-        t_terms.append((q, q * ek, abs(num) * (n - 1) / (den * 2 * (n - 2))))
+        t_terms.append((q, q * ek))
         term = q * (_SERIES_CUT + ek) * 0.75**k
         total += term
         half += math.ldexp(q * (_HALF_S + ek), -k)
@@ -315,8 +329,6 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
         num *= 3 - n + 2 * k
         den *= n + 1 + 2 * k
         k += 1
-    t_series = (*t_terms[0][:2], [(*t_terms[j][:2], *t_terms[j + 1][:2], *t_terms[j + 2][:2],
-                                   *t_terms[j + 3][:2], t_terms[j][2]) for j in range(1, k, 4)])
     # the terms of T at s = 1/2, L = -log 2, until they are below 2^-60 of S
     fact = math.factorial
     num = (-1) ** (n // 2) * fact(n) * (n - 2)
@@ -353,43 +365,45 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
     rest = terms[-1][4] * r / (1.0 - r)
     for term in reversed(terms):
         term[4], rest = rest, rest + term[4]
-    return log_c, c, l_max, x_max, coefs, [tuple(term) for term in terms], rest, t_series
+    terms = [tuple(term) for term in terms]
+    return log_c, c, l_max, x_max, ((*head, cp, cq), steps), terms, rest, _stepped(t_terms)
 
 
 def _s_kernel(n: int, l: float) -> KernelValue:
     """F_n(l) = c u^(n-1) s^(2-n) S for n >= 3 from _s_coefficients' table.
 
-    Below ln(4/3) / 2, and for odd n at every l, S is the s-series at
-    s = -expm1(-2l): P and Q by Horner's rule, for even n also l P + Q on
-    |coefficients| and T term by term in y = 2s until the bound on its
-    rest, which joins the estimate, is below 2^-54 of l P + Q.  Even n
-    from there on sums S / l = sum_K t^K (q_K + q_K e_K / l), t = e^(-2l):
-    its first term a_0 = q_0 (1 + e_0 / l), then steps of four terms by
-    Horner's rule in t times t^K, K a step's first term, each while the
-    bound on the rest from K on, a_0 |q_K / q_0| t^K / s, is above 2^-54
-    of the sum; it joins the estimate too (past the table it still bounds
-    the rest, as |q_K| falls).  Off the linear scale the value is
-    exp(log c - (n-1) l - (n-2) log s + log S), 0 or inf only where F
-    under- or overflows; log_value holds F (-inf only past l = max
-    double / (n-1)).
+    Odd n sums S = l P + Q, s = -expm1(-2l), by Horner's rule.  Even n sums
+    l P + Q from degree 0 up below ln(4/3) / 2, then T term by term in
+    y = 2s, and from the cut on S / l = sum_K t^K (q_K + q_K e_K / l),
+    t = e^(-2l): each by its first term, then steps of four by Horner's rule
+    times s^k or t^K, k or K a step's first term, while the rest bound
+    s^k (l cp_k + cq_k) or |q_K + q_K e_K / l| t^K / s is above 2^-54 of the
+    sum (1 to 6 steps below the cut for every n <= 4000; past the t-table
+    the bound still holds), and T until its rest bound is; each bound joins
+    the estimate.  Off the linear scale the value is exp(log c - (n-1) l -
+    (n-2) log s + log S), 0 or inf only where F under- or overflows;
+    log_value holds F (-inf only past l = max double / (n-1)).
 
     Relative error estimate, in eps, to first order (exp, expm1, log, pow
-    within an ulp, roundings within half of one; p terms in P, K in T):
-    - poly = ((2p + 1 + K) A + (n + 3K + 10) B) / S for S, A being l P + Q
-      on |coefficients| and B = lam y^(n-2) C_0 >= sum a_k: l P + Q is
-      within 2p - 1/2 of A (p - 1 Horner steps, s within 1 in powers
-      below p, the coefficients, the last two roundings), T's K additions
-      within K/2 of A + B, term k within n + 1.5k + 8 of a_k (n - 1 + 1.5k
-      for y^(n-2+k), pow then k products; 1.5 for l + g_k; 4 for L + b_k,
-      |L| >= log 2; 1 for their product; 2.5 for psi' and the difference;
-      1 for v_k and its product).  Odd n has A = S, K = B = 0: poly = n;
+    within an ulp, so s and t within 1; roundings within half of one):
+    - odd n, poly = n: its p = (n-1)/2 positive terms within 2p - 1/2 (p - 1
+      Horner steps, s in powers below p, coefficients, the last two sums);
+    - s-series, poly = ((6.5M + 3 + K) A + (n + 3K + 10) B) / S, M steps
+      read, K terms of T, A = l cp_0 + cq_0 >= sum |terms| of l P + Q and
+      B = lam y^(n-2) C_0 >= sum a_k: the first term within 1.5, term
+      4m - 3 + i within 6m + 3 (4m for s; 2m - 2 for s^(4m-3), m - 1
+      products by s^4 of three; 1.5 for l r_k + r_k e_k, of like signs; 3
+      for the step's products and additions; 1/2 times s^(4m-3)), the step
+      additions within M/2 of A; T's K additions within K/2 of A + B, term
+      k within n + 1.5k + 8 of a_k (n - 1 + 1.5k for y^(n-2+k), pow then k
+      products; 1.5 for l + g_k; 4 for L + b_k, |L| >= log 2; 1 for their
+      product; 2.5 for psi' and the difference; 1 for v_k and its product);
     - t-series, poly = (7M + 6 + q_0 e_0 / l) a_0 / (s S / l), M steps
       read, a_0 / s >= A = sum |terms|: term K = 4m + 1 + i within
-      1.5K + 5.5 (K for t^K, t within 1; 2m <= K/2 for t^4, three
-      products, and m more; 3 for the step's i products by t and three
-      additions; 1/2 for t^K times the step; 2 for q_K + q_K e_K / l),
-      plus q_0 e_0 / l from e_K; M additions of steps within M/2 of A and
-      l times S / l within 1/2, (6.5M + 6) A in all;
+      1.5K + 5.5 (K for t^K; 2m <= K/2 for t^4, of three, and m products;
+      3 for the step's products and additions; 1/2 times t^K; 2 for
+      q_K + q_K e_K / l), plus q_0 e_0 / l from e_K; M step additions
+      within M/2 of A and l times S / l within 1/2, (6.5M + 6) A in all;
     - linear scale, 3n + 3 + poly: 1 for u, 2.5 (n-2) + 1 for x^(n-2) (x
       within 2.5), 0.1 n + 2 for c (pi^p, p < n/2), 1.5 for the products;
     - log scale, 4n + 2 + poly + 5S', S' = |log c| + (n-1) l +
@@ -406,44 +420,49 @@ def _s_kernel(n: int, l: float) -> KernelValue:
         t = math.exp(-2.0 * l)
         t4 = t * t * t * t
         il = 1.0 / l
-        r, e, steps = t_series
+        (r, e), steps = t_series
         p = a_0 = r + e * il
-        limit = _SERIES_TAIL * s / a_0
-        q, t_k = 0.0, t
-        for count, (r1, e1, r2, e2, r3, e3, r4, e4, ratio) in enumerate(steps, 1):
-            if ratio * t_k <= limit * p:
+        limit, q, t_k = _SERIES_TAIL * s, 0.0, t
+        for count, (r1, e1, r2, e2, r3, e3, r4, e4) in enumerate(steps, 1):
+            first = r1 + e1 * il
+            if abs(first) * t_k <= limit * p:
                 break
-            p += t_k * (r1 + e1 * il + t * (r2 + e2 * il + t * (r3 + e3 * il + t * (r4 + e4 * il))))
+            p += t_k * (first + t * (r2 + e2 * il + t * (r3 + e3 * il + t * (r4 + e4 * il))))
             t_k *= t4
         total = l * p
         w = a_0 / (s * p)
-        tail = ratio * t_k * w
+        tail = abs(first) * t_k / (s * p)
         poly = (7 * count + 6 + e * il) * w
+    elif terms:
+        (r, e, cp, cq), steps = coefs
+        total, first = l * r + e, l * cp + cq
+        s4, s_k, rest_s = s * s * s * s, s, 0.0
+        for m, (r1, e1, r2, e2, r3, e3, r4, e4, cp, cq) in enumerate(steps, 1):
+            if (bound := s_k * (l * cp + cq)) <= _SERIES_TAIL * total:
+                rest_s = bound
+                break
+            total += s_k * (l * r1 + e1 + s * (l * r2 + e2 + s * (l * r3 + e3 + s * (l * r4 + e4))))
+            s_k *= s4
+        log_s = math.log(s)
+        lam = log_s / -_LN2
+        y = 2.0 * s
+        power = y ** (n - 2)
+        second = lam * power * rest_0
+        limit = _SERIES_TAIL * total / lam
+        for count, (v, g, b, psi, rest) in enumerate(terms, 1):
+            total += v * power * ((l + g) * (log_s + b) - psi)
+            power *= y
+            if power * rest <= limit:
+                break
+        tail = (rest_s + lam * power * rest) / total
+        poly = ((6.5 * m + 3 + count) * first + (n + 3 * count + 10) * second) / total
     else:
         p = q = 0.0
         for r, e in coefs:
             p = p * s + r
             q = q * s + e
         total = l * p + q
-        # odd n: every coefficient is positive, so A = S and T is empty
         poly, tail = n, 0.0
-        if terms:
-            first = 0.0
-            for r, e in coefs:
-                first = first * s + l * abs(r) + abs(e)
-            log_s = math.log(s)
-            lam = log_s / -_LN2
-            y = 2.0 * s
-            power = y ** (n - 2)
-            second = lam * power * rest_0
-            limit = _SERIES_TAIL * total / lam
-            for count, (v, g, b, psi, rest) in enumerate(terms, 1):
-                total += v * power * ((l + g) * (log_s + b) - psi)
-                power *= y
-                if power * rest <= limit:
-                    break
-            tail = lam * power * rest / total
-            poly = ((2 * len(coefs) + 1 + count) * first + (n + 3 * count + 10) * second) / total
     if l < l_max:
         u = math.exp(-l)
         x = u / s

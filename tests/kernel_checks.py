@@ -13,6 +13,7 @@ import math
 import os
 import statistics
 import sys
+from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
@@ -27,6 +28,10 @@ PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
 
 with open(PATH) as fh:
     POINTS = json.load(fh)["points"]
+
+# math with ulp 0: patched into orthovol.volume_kernel with _EPS = 0, the
+# kernel's estimate is exactly the tail it reports times the value
+NO_ULP_MATH = SimpleNamespace(**{**vars(math), "ulp": lambda x: 0.0})
 
 LENGTHS = (5e-324, 1e-300, 1e-12, 0.1, math.nextafter(_SERIES_CUT, 0.0),
            _SERIES_CUT, 0.5, 1.0, 5.0, 50.0, 400.0, 1e4, 1e300, HUGE)
@@ -113,3 +118,16 @@ def forbid_integration(monkeypatch):
     for name in ("inner_kernel", "adaptive_quad", "volume_kernel_radial",
                  "volume_kernel_alt"):
         monkeypatch.setattr(module, name, fail)
+
+
+class Counted(list):
+    """A list that counts the items its iterators hand out, and notes when one ran out."""
+
+    read = 0
+    done = False
+
+    def __iter__(self):
+        for item in list.__iter__(self):
+            self.read += 1
+            yield item
+        self.done = True

@@ -16,11 +16,13 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_checks import (ANY_LENGTH, LENGTHS, POINTS, check_sane, check_total,
-                           check_within_estimate, forbid_integration, median_over_estimate)
+from kernel_checks import (ANY_LENGTH, LENGTHS, NO_ULP_MATH, POINTS, Counted, check_sane,
+                           check_total, check_within_estimate, forbid_integration,
+                           median_over_estimate)
 
 from orthovol import volume_kernel
-from orthovol.volume_kernel import _SERIES_CUT, _s_coefficients
+from orthovol.special import harmonic
+from orthovol.volume_kernel import _SERIES_CUT, _SERIES_TAIL, _s_coefficients
 
 EPS = sys.float_info.epsilon
 BELOW = [p for p in POINTS if p["l"] < _SERIES_CUT]
@@ -67,12 +69,22 @@ def exact_coefficients(n):
 
 
 def check_coefficients(n):
-    coefs = _s_coefficients(n)[4]
     exact = exact_coefficients(n)
-    assert len(coefs) == len(exact)
-    # cached from the top degree down
-    for (r, q), (r_exact, q_exact) in zip(reversed(coefs), exact):
+    if n % 2:
+        # cached from the top degree down
+        coefs = _s_coefficients(n)[4]
+        assert len(coefs) == len(exact)
+        for (r, q), (r_exact, q_exact) in zip(reversed(coefs), exact):
+            assert r == float(r_exact) and q == float(q_exact)
+        return
+    # even n rises from degree 0: its pair apart, then steps of four pairs
+    # from degree 1, the last padded past degree n - 3 with exact zeros
+    (r_0, q_0, _, _), steps = _s_coefficients(n)[4]
+    assert len(steps) == math.ceil((n - 3) / 4)
+    pairs = [(r_0, q_0)] + [step[j:j + 2] for step in steps for j in range(0, 8, 2)]
+    for (r, q), (r_exact, q_exact) in zip(pairs, exact):
         assert r == float(r_exact) and q == float(q_exact)
+    assert all(x == 0.0 for pair in pairs[len(exact):] for x in pair)
 
 
 @pytest.mark.parametrize("n", range(3, 100, 2))
@@ -104,7 +116,7 @@ def test_even_table_evaluates_trigamma_once(n, monkeypatch):
 
 @pytest.mark.parametrize("n", (4, 6, 10, 20, 60, 100, 200, 400))
 def test_even_coefficients(n):
-    # the first sum as for odd n, with n - 2 terms; the second sum's
+    # the first sum's n - 2 terms in rising steps; the second sum's
     # v_k = W_k / 2^(n-2+k) correctly rounded, g_k, b_k and psi'(n-1+k)
     # within a few ulp of 40-digit values, and the bounds C_k on the rest
     # positive, each C_(k+1) + a_k with a_k at s = 1/2 (l = ln 2 / 2, where
@@ -112,8 +124,7 @@ def test_even_coefficients(n):
     # falling strictly unless a_k is below an ulp of C_k (from n = 200, where
     # |W_k| grows by 10^30 along the table)
     check_coefficients(n)
-    coefs, terms, rest_0 = _s_coefficients(n)[4:7]
-    assert len(coefs) == n - 2
+    terms, rest_0 = _s_coefficients(n)[5:7]
     rests = [rest_0] + [term[4] for term in terms]
     assert rests[-1] > 0.0
     for (v, g, b, psi, rest), prev in zip(terms, rests):
@@ -134,6 +145,100 @@ def test_even_coefficients(n):
             for value, ref in ((g, g_ref), (psi, mp.psi(1, n - 1 + k))):
                 assert abs(value - ref) <= 4 * math.ulp(float(ref))
             w = w * (n - 1 + 2 * k) / (2 * (k + 1))
+
+
+def exact_step_bounds(n):
+    # {k: (a, b, c)} for k = 0, 1, 5, 9, ...: sum_(j>=k) |r_j| (1, e_j)
+    # 4^(k-j) = (a, b / d) / c exactly, d = lcm(1, ..., n-2), e_j = h_j / d
+    # and c = D 4^(n-3-k), D the product of the recurrence's n - 3
+    # denominators.  x_j = |r_j| D is an integer, x_0 = D and x_(j+1) =
+    # x_j |n-3-2j| / (2(n-3-j)), so each sum is a Horner sum of integers
+    # from the top degree down.  Also [(r_j, e_j)] in the working precision
+    top = n - 3
+    h, d = harmonic(n - 2)
+    x = big = math.prod(2 * (n - 3 - j) for j in range(top))
+    r = mp.mpf(1)
+    exact, terms = [], []
+    for j in range(top + 1):
+        exact.append((x, h))
+        terms.append((r, mp.mpf(h) / d))
+        if j < top:
+            h -= d // (j + 1)
+            x = x * abs(n - 3 - 2 * j) // (2 * (n - 3 - j))
+            r = r * (n - 3 - 2 * j) / (2 * (n - 3 - j))
+    a = b = 0
+    sums = {}
+    for k in range(top, -1, -1):
+        x, h = exact[k]
+        a += x << 2 * (top - k)
+        b += x * h << 2 * (top - k)
+        if k % 4 == 1 or k == 0:
+            sums[k] = (a, b, big << 2 * (top - k))
+    return sums, terms, d
+
+
+def at_least(x, num, den):
+    # the double x >= num / den, for integers num >= 0 and den > 0
+    a, b = x.as_integer_ratio()
+    return a * den >= num * b
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 20, 60, 400, 2000, 4000))
+def test_s_series_rest_bound(n, monkeypatch):
+    # below the cut even n sums P and Q from degree 0 up, and stops before
+    # the step whose first term k has s^k (l cp_k + cq_k) <= 2^-54 of the
+    # sum, (cp_k, cq_k) bounds on sum_(j>=k) |r_j| (1, e_j) 4^(k-j), so on
+    # the rest wherever s <= 1/4.  Each stored bound, the first pair's too,
+    # is at least its exact sum.  At five lengths to the cut, with T's
+    # terms zeroed (S = l P + Q, T reports no tail), _EPS = 0, math.ulp 0
+    # and log c shifted so that F reads about 1, the relative estimate is
+    # the tail the kernel reports: s^k (l cp_k + cq_k) over the terms
+    # summed, at most 2^-54, and at least the exact rest past them, from
+    # exact r_j, e_j and the kernel's s in 40 digits.  A call reads at most
+    # 6 steps, 1 at l = 1e-300 and 6 just below the cut from n = 400 on
+    module = importlib.import_module("orthovol.volume_kernel")
+    table = _s_coefficients(n)
+    (_, _, cp_0, cq_0), steps = table[4]
+    with mp.workdps(40):
+        sums, terms, d = exact_step_bounds(n)
+    bounds = {0: (cp_0, cq_0)} | {4 * m + 1: step[8:] for m, step in enumerate(steps)}
+    assert bounds.keys() == sums.keys()
+    for k, (cp, cq) in bounds.items():
+        a, b, c = sums[k]
+        assert at_least(cp, a, c) and at_least(cq, b, c * d), k
+    steps = Counted(steps)
+    zero_t = [(0.0, *term[1:4], 0.0) for term in table[5]]
+    reads = []
+    for l in (1e-300, 1e-8, 1e-3, 0.05, math.nextafter(_SERIES_CUT, 0.0)):
+        log_f = volume_kernel(n, l).log_value
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_EPS", 0.0)
+            patch.setattr(module, "math", NO_ULP_MATH)
+            patch.setattr(module, "_s_coefficients", lambda m: (
+                table[0] - log_f, 0.0, 0.0, 0.0, (table[4][0], steps), zero_t, *table[6:]))
+            steps.read, steps.done = 0, False
+            kv = volume_kernel(n, l)
+        tail = kv.err_estimate / kv.value
+        reads.append(steps.read)
+        summed = n - 2 if steps.done else 4 * steps.read - 3
+        s = -math.expm1(-2.0 * l)
+        assert s <= 0.25
+        with mp.workdps(40):
+            s, power = mp.mpf(s), mp.mpf(1)
+            part, rest = mp.mpf(0), mp.mpf(0)
+            for k, (r, e) in enumerate(terms):
+                term = r * power * (l + e)
+                power *= s
+                part, rest = (part + term, rest) if k < summed else (part, rest + term)
+            # the bound from the stored floats, exactly; what the kernel
+            # reports is that bound rounded
+            cp, cq = bounds[summed] if summed < n - 2 else (0.0, 0.0)
+            bound = s**summed * (l * mp.mpf(cp) + mp.mpf(cq))
+            assert abs(rest) <= bound, (l, rest, bound)
+            assert tail == pytest.approx(float(bound / part), rel=1e-12, abs=0.0), l
+            assert tail <= _SERIES_TAIL
+    assert max(reads) <= 6 and reads[0] == 1
+    assert reads[-1] == 6 or n < 400
 
 
 def test_odd_never_integrates(monkeypatch):

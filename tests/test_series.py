@@ -16,8 +16,9 @@ import pytest
 from gen_kernel_reference import DIMENSIONS, grid
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_checks import (ANY_LENGTH, LENGTHS, POINTS, check_sane, check_total,
-                           check_within_estimate, forbid_integration, median_over_estimate)
+from kernel_checks import (ANY_LENGTH, LENGTHS, NO_ULP_MATH, POINTS, Counted, check_sane,
+                           check_total, check_within_estimate, forbid_integration,
+                           median_over_estimate)
 
 from orthovol import volume_kernel
 from orthovol.volume_kernel import _BUILD_TAIL, _SERIES_CUT, _s_coefficients
@@ -100,7 +101,7 @@ def test_t_series_coefficients(n):
     # of exact, the error the estimate allows; terms run until one at the
     # cut, q_K (cut + e_K) (3/4)^K, is below 2^-60 of the sum there, and
     # on to the end of the first step that starts there or later
-    q_0, qe_0, steps = _s_coefficients(n)[7]
+    (q_0, qe_0), steps = _s_coefficients(n)[7]
     pairs = [(q_0, qe_0)] + [step[j:j + 2] for step in steps for j in range(0, 8, 2)]
     q = Fraction(2 * (n - 2), n - 1)
     with mp.workdps(40):
@@ -118,64 +119,58 @@ def test_t_series_coefficients(n):
     assert 4 * len(steps) - 3 >= first > 4 * len(steps) - 7
 
 
-class Counted(list):
-    """A list that counts the items its iterators hand out."""
-
-    read = 0
-
-    def __iter__(self):
-        for item in list.__iter__(self):
-            self.read += 1
-            yield item
-
-
 @pytest.mark.parametrize("n", (4, 6, 8, 20, 60, 400, 2000))
 def test_t_series_rest_bound(n, monkeypatch):
-    # each step opens with |q_K / q_0| of its first term K, correctly
-    # rounded, and no step is padded: every q_K is a term.  With the
-    # rounding part of the estimate off (_EPS = 0) and log c shifted so
-    # that F reads about 1 on the log scale, the estimate less an ulp is
-    # the tail the kernel reports: at most 2^-54 of S, at least the exact
-    # rest of S past the terms it summed, from exact q_K and 40-digit e_K,
-    # and the bound its docstring proves, a_0 |q_K / q_0| t^K / (1 - t)
-    # over S / l, K the first term of the step it stopped before
+    # each step holds four pairs and no more, and none is padded: every q_K
+    # is a term.  With the rounding part of the estimate off (_EPS = 0,
+    # math.ulp 0) and log c shifted so that F reads about 1 on the log
+    # scale, the relative estimate is the tail the kernel reports: at most
+    # 2^-54 of S, at least the exact rest of S past the terms it summed,
+    # from exact q_K and 40-digit e_K, and the bound its docstring proves,
+    # |q_K + q_K e_K / l| t^K / (1 - t) over S / l, K the first term of the
+    # step it stopped before
     module = importlib.import_module("orthovol.volume_kernel")
     table = _s_coefficients(n)
-    q_0, qe_0, steps = table[7]
+    (q_0, qe_0), steps = table[7]
     steps = Counted(steps)
     q_exact = [Fraction(2 * (n - 2), n - 1)]
     for k in range(4 * len(steps)):
         q_exact.append(q_exact[-1] * Fraction(3 - n + 2 * k, n + 1 + 2 * k))
     assert q_0 == float(q_exact[0])
     for j, step in enumerate(steps):
+        assert len(step) == 8
         assert [step[i] for i in range(0, 8, 2)] == [float(q) for q in q_exact[4 * j + 1:4 * j + 5]]
-        assert step[8] == float(abs(q_exact[4 * j + 1] / q_exact[0]))
+        assert 0.0 not in step[::2]
     for l in (_SERIES_CUT, 0.2, 0.5, 2.0):
         log_f = volume_kernel(n, l).log_value
         with monkeypatch.context() as patch:
             patch.setattr(module, "_EPS", 0.0)
-            patch.setattr(module, "_s_coefficients",
-                          lambda m: (table[0] - log_f, 0.0, 0.0, 0.0, *table[4:7], (q_0, qe_0, steps)))
-            steps.read = 0
+            patch.setattr(module, "math", NO_ULP_MATH)
+            patch.setattr(module, "_s_coefficients", lambda m: (
+                table[0] - log_f, 0.0, 0.0, 0.0, *table[4:7], ((q_0, qe_0), steps)))
+            steps.read, steps.done = 0, False
             kv = volume_kernel(n, l)
-        tail = (kv.err_estimate - math.ulp(kv.value)) / kv.value
+        tail = kv.err_estimate / kv.value
         assert 0.0 < tail <= module._SERIES_TAIL
+        assert not steps.done
         summed = 1 + 4 * (steps.read - 1)
         with mp.workdps(40):
             t = mp.exp(-2 * mp.mpf(l))
             e = mp.harmonic(mp.mpf(n - 1) / 2)
-            a_0 = q_exact[0] * (1 + e / l)
             whole, rest, k, q = mp.mpf(0), mp.mpf(0), 0, q_exact[0]
             while k < summed or abs(term) > mp.mpf(10) ** -45 * abs(whole):
                 term = q * t**k * (l + e)
                 whole += term
+                if k == summed:
+                    e_k = e
                 rest += term if k >= summed else 0
                 e -= mp.mpf(n - 1) / ((k + 1) * (n + 1 + 2 * k))
                 q *= Fraction(3 - n + 2 * k, n + 1 + 2 * k)
                 k += 1
             assert tail >= abs(rest / whole), (l, tail, rest / whole)
-            # the bound exceeds the rest by 1.5 to 21 times at these points
-            bound = a_0 * abs(q_exact[summed] / q_exact[0]) * t**summed / ((1 - t) * whole / l)
+            # the bound exceeds the rest by 1.005 to 6.4 times at these points
+            q_k = abs(q_exact[summed])
+            bound = q_k * (1 + e_k / l) * t**summed / ((1 - t) * whole / l)
             assert tail == pytest.approx(float(bound), rel=1e-9, abs=0.0)
 
 

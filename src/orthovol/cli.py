@@ -12,7 +12,6 @@ format, 3 a bound whose crossing is not found, 4 file I/O errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
@@ -114,6 +113,8 @@ def _length_grid(lmin: float, lmax: float, steps: int, scale: str) -> list[float
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    import csv
+
     if args.steps < 2:
         raise ValueError("need at least 2 steps")
     if not 0.0 < args.lmin < args.lmax:

@@ -5,11 +5,11 @@ geodesic boundary contributes a kernel value; the volume is their sum
 over the orthospectrum.  For n = 2 the kernel is a Rogers dilogarithm
 expression.  For n >= 3 one table per dimension serves every length: a
 series in s = 1 - e^(-2l), closed for odd n; even n sums it below l =
-ln(4/3) / 2 and Euler's series in t = e^(-2l) from there on, each in
-steps of four terms to a proved rest bound.  The inner kernel's
-integral, kept in two parametrizations as the tests' reference, never
-serves volume_kernel; it runs on scipy's QUADPACK through adaptive_quad,
-so only these two forms need the test extra.
+ln(4/3) / 2 and Euler's series in t = e^(-2l) from there on, each to a
+proved rest bound, every bound below the cut derived at the cut.  The
+inner kernel's integral, kept in two parametrizations as the tests'
+reference, never serves volume_kernel; it runs on scipy's QUADPACK
+through adaptive_quad, so only these two forms need the test extra.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ __all__ = ["KernelValue", "volume_kernel", "small_length_constant"]
 
 # even n sums the t-series from l = ln(4/3) / 2 (t = e^(-2l) <= 3/4) on
 _SERIES_CUT = 0.5 * math.log(4.0 / 3.0)
-_HALF_S = 0.5 * math.log(2.0)  # where s = 1/2: T's terms are bounded there
 _EPS = sys.float_info.epsilon
 # a series stops once its tail bound is below this share of the sum, and
 # its coefficients run until the bound at the cut is below the smaller
 _SERIES_TAIL = 2.0 ** -54
 _BUILD_TAIL = 2.0 ** -60
 _LN2 = math.log(2.0)
+_LN4 = math.log(4.0)
 _LN_PI = math.log(math.pi)
 _FOUR_OVER_PI = 4.0 / math.pi
 _LOG_MAX = math.log(sys.float_info.max)
@@ -201,8 +201,8 @@ def _trigamma(j: int) -> float:
     (1 + 1/(2j) + sum_(i<=8) B_2i j^(-2i)) / j, B_2i in _BERNOULLI, next
     term below 1e-20 of it; within 2.2 ulp of 40-digit values for
     j = 16..3000.  _s_coefficients calls it once per even-n table, at
-    j = n - 1 + K, K its term count (j >= 64, least at n = 4 with K = 61),
-    and recurs down.
+    j = n - 1 + K, K its term count (j >= 29, least at n = 24 with K = 6;
+    33 at n = 4), and recurs down.
     """
     series = 0.0
     for b in reversed(_BERNOULLI):
@@ -239,22 +239,24 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
     |r_j| (1, e_j) 4^(k-j), summed down as |r_k| + cp_(k+1) / 4, raised two
     doubles: its three roundings (r_k or r_k e_k, the quarter if subnormal,
     the sum, no part above it) lose at most half a gap above the sum each.
-    r_k, r_k e_k, c and v_k = W_k / 2^(n-2+k) (normal for n <= 400) are
-    correctly rounded ratios of exact integers, e_k's numerators over d =
-    lcm(1, ..., n-2), and g_k and b_k are compensated sums.  W_k has W_0's
-    sign, b_k > 0 falls and g_k <= 0, so for s <= 1/2 term k of s^(n-2) T is
-    at most a_k = |W_k| s^(n-2+k) ((l - g_k)(b_k - L) + psi'(n-1+k)) <= lam
-    y^(n-2+k) A_k, with y = 2s, lam = -log2 s >= 1 and A_k = a_k at s = 1/2
-    (y = 1, l = ln 2 / 2).  There a_(k+1) / a_k <= R = (n-1+2k) / (4k) for
-    k >= 1 (W's ratio times the bracket's (k+1) / k), falling with k; terms
-    are built until a_k R / (1 - R) < 2^-60 S, S at s = 1/2.  C_(k+1), the
-    A_j past term k plus that bound, makes lam y^(n-1+k) C_(k+1) a bound on
-    the rest after term k.  While the terms are built, psi'(n-1+k) <
-    1/(n-2+k) stands in for psi', so A_k stays a bound.  Then one _trigamma
-    value at n-1+K, K the term count, gives every psi'(n-1+k) by psi'(j) =
-    psi'(j+1) + 1/j^2 (DLMF 5.15.5), summed down compensated (within 2.5 ulp
-    of 40-digit values for even n = 4..400, 1000, 2000), and each A_k is
-    recomputed from it before the C_k are summed.
+    r_k, r_k e_k, c and v_k = W_k / 4^(n-2+k) are correctly rounded ratios
+    of exact integers, e_k's numerators over d = lcm(1, ..., n-2), and g_k
+    and b_k are compensated sums.  W_k has W_0's sign, b_k > 0 falls and
+    g_k <= 0, so for s <= 1/4 term k of s^(n-2) T is at most a_k = |W_k|
+    s^(n-2+k) ((l - g_k)(b_k - L) + psi'(n-1+k)) <= lam y^(n-2+k) A_k, with
+    y = 4s, lam = L / -log 4 >= 1 and A_k = a_k at the cut (y = 1, l = cut),
+    T's one derivation point.  There a_(k+1) / a_k <= R = (n-1+2k) / (8k)
+    for k >= 1 (W's ratio over 4 times the bracket's (k+1) / k), falling
+    with k; terms are built until A_k R / (1 - R) < 2^-60 S, S at the cut
+    as the t-series build sums it.  C_(k+1), the A_j past term k plus that
+    bound, makes lam y^(n-1+k) C_(k+1) a bound on the rest after term k.
+    v_0 is normal for n <= 342, subnormal or 0 from 344 (C_0 from 372, the
+    whole table 0 from 388): T is then below 2^-950 of S (lam y^(n-2) <= 1
+    <= S), far inside the estimate whatever its terms hold.  A_k takes
+    1/(n-2+k) > psi'(n-1+k) for psi', so it is a bound before psi' is known;
+    one _trigamma value at n-1+K, K the term count, gives every psi'(n-1+k)
+    by psi'(j) = psi'(j+1) + 1/j^2 (DLMF 5.15.5), summed down compensated
+    (within 2.5 ulp of 40-digit values for even n = 4..400, 1000, 2000).
 
     For even n from the cut on, the same S is Euler's form in t = 1 - s,
 
@@ -311,17 +313,16 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
         cq = after(after(abs(re) + 0.25 * cq, up), up)
         bounds.append((cp, cq))
     head, steps = _stepped(coefs, *zip(*bounds[-2::-4]))
-    # the t-series' q_K = num / den and q_K e_K; its sums at t = 3/4 and 1/2 are S there
+    # the t-series' q_K = num / den and q_K e_K; its sum at t = 3/4 is S at the cut
     num, den = 2 * (n - 2), n - 1
     e = math.fsum([2.0 / j for j in range(1, n, 2)] + [-2.0 * _LN2])
-    e_err = total = half = 0.0
+    e_err = total = 0.0
     t_terms, k, stop = [], 0, math.inf
     while k < stop:
         q, ek = num / den, e + e_err
         t_terms.append((q, q * ek))
         term = q * (_SERIES_CUT + ek) * 0.75**k
         total += term
-        half += math.ldexp(q * (_HALF_S + ek), -k)
         if abs(term) <= _BUILD_TAIL * total:
             stop = min(stop, k + (1 - k) % 4 + 4)
         step = (1 - n) / ((k + 1) * (n + 1 + 2 * k))
@@ -329,38 +330,36 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
         num *= 3 - n + 2 * k
         den *= n + 1 + 2 * k
         k += 1
-    # the terms of T at s = 1/2, L = -log 2, until they are below 2^-60 of S
+    # the terms of T at the cut (s = 1/4, L = -log 4) until below 2^-60 of S
     fact = math.factorial
     num = (-1) ** (n // 2) * fact(n) * (n - 2)
-    den = fact(n // 2) * fact(n // 2 - 1) * (n - 1) << 3 * n - 5
+    den = fact(n // 2) * fact(n // 2 - 1) * (n - 1) << 4 * n - 7
     g = g_err = b_err = 0.0
     b = math.fsum([2.0 / j for j in range(1, n - 2, 2)] + [-2.0 * _LN2])
     terms, k = [], 0
     while True:
-        # psi'(n-1+k) < 1/(n-2+k) keeps A_k a bound until psi' is filled in
+        # psi'(n-1+k) < 1/(n-2+k) keeps A_k a bound before psi' is known
         v, gk, bk, psi = num / den, g + g_err, b + b_err, 1.0 / (n - 2 + k)
-        a = abs(v) * ((_HALF_S - gk) * (bk + _LN2) + psi)
+        a = abs(v) * ((_SERIES_CUT - gk) * (bk + _LN4) + psi)
         terms.append([v, gk, bk, psi, a])
-        r = (n - 1 + 2 * k) / (4 * k) if k else 1.0
-        if r < 1.0 and a * r <= _BUILD_TAIL * (1.0 - r) * half:
+        r = (n - 1 + 2 * k) / (8 * k) if k else 1.0
+        if r < 1.0 and a * r <= _BUILD_TAIL * (1.0 - r) * total:
             break
         step = -1.0 / (n - 1 + k)
         g, g_err = g + step, g_err + (step - ((g + step) - g))
         step = (3 - n) / ((k + 1) * (n - 1 + 2 * k))
         b, b_err = b + step, b_err + (step - ((b + step) - b))
         num *= n - 1 + 2 * k
-        den *= 4 * (k + 1)
+        den *= 8 * (k + 1)
         k += 1
-    # psi'(j) = psi'(j+1) + 1/j^2 down from one asymptotic value, then A_k
+    # psi'(j) = psi'(j+1) + 1/j^2 down from one asymptotic value
     j = n - 1 + len(terms)
     psi, psi_err = _trigamma(j), 0.0
     for term in reversed(terms):
         j -= 1
         step = 1.0 / (j * j)
         psi, psi_err = psi + step, psi_err + (step - ((psi + step) - psi))
-        v, gk, bk, _, _ = term
         term[3] = psi + psi_err
-        term[4] = abs(v) * ((_HALF_S - gk) * (bk + _LN2) + term[3])
     # each term's C_(k+1), then C_0
     rest = terms[-1][4] * r / (1.0 - r)
     for term in reversed(terms):
@@ -374,7 +373,7 @@ def _s_kernel(n: int, l: float) -> KernelValue:
 
     Odd n sums S = l P + Q, s = -expm1(-2l), by Horner's rule.  Even n sums
     l P + Q from degree 0 up below ln(4/3) / 2, then T term by term in
-    y = 2s, and from the cut on S / l = sum_K t^K (q_K + q_K e_K / l),
+    y = 4s, and from the cut on S / l = sum_K t^K (q_K + q_K e_K / l),
     t = e^(-2l): each by its first term, then steps of four by Horner's rule
     times s^k or t^K, k or K a step's first term, while the rest bound
     s^k (l cp_k + cq_k) or |q_K + q_K e_K / l| t^K / s is above 2^-54 of the
@@ -396,7 +395,7 @@ def _s_kernel(n: int, l: float) -> KernelValue:
       for the step's products and additions; 1/2 times s^(4m-3)), the step
       additions within M/2 of A; T's K additions within K/2 of A + B, term
       k within n + 1.5k + 8 of a_k (n - 1 + 1.5k for y^(n-2+k), pow then k
-      products; 1.5 for l + g_k; 4 for L + b_k, |L| >= log 2; 1 for their
+      products; 1.5 for l + g_k; 4 for L + b_k, |L| >= log 4; 1 for their
       product; 2.5 for psi' and the difference; 1 for v_k and its product);
     - t-series, poly = (7M + 6 + q_0 e_0 / l) a_0 / (s S / l), M steps
       read, a_0 / s >= A = sum |terms|: term K = 4m + 1 + i within
@@ -444,8 +443,8 @@ def _s_kernel(n: int, l: float) -> KernelValue:
             total += s_k * (l * r1 + e1 + s * (l * r2 + e2 + s * (l * r3 + e3 + s * (l * r4 + e4))))
             s_k *= s4
         log_s = math.log(s)
-        lam = log_s / -_LN2
-        y = 2.0 * s
+        lam = log_s / -_LN4
+        y = 4.0 * s
         power = y ** (n - 2)
         second = lam * power * rest_0
         limit = _SERIES_TAIL * total / lam

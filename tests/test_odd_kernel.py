@@ -16,7 +16,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_checks import (ANY_LENGTH, LENGTHS, NO_ULP_MATH, POINTS, Counted, check_sane,
+from kernel_checks import (ANY_LENGTH, LENGTHS, NO_ULP_MATH, POINTS, TINY, Counted, check_sane,
                            check_total, check_within_estimate, forbid_integration,
                            median_over_estimate)
 
@@ -117,34 +117,48 @@ def test_even_table_evaluates_trigamma_once(n, monkeypatch):
 @pytest.mark.parametrize("n", (4, 6, 10, 20, 60, 100, 200, 400))
 def test_even_coefficients(n):
     # the first sum's n - 2 terms in rising steps; the second sum's
-    # v_k = W_k / 2^(n-2+k) correctly rounded, g_k, b_k and psi'(n-1+k)
-    # within a few ulp of 40-digit values, and the bounds C_k on the rest
-    # positive, each C_(k+1) + a_k with a_k at s = 1/2 (l = ln 2 / 2, where
-    # T's terms are bounded) from the stored psi'(n-1+k), and
-    # falling strictly unless a_k is below an ulp of C_k (from n = 200, where
-    # |W_k| grows by 10^30 along the table)
+    # v_k = W_k / 4^(n-2+k) correctly rounded, g_k, b_k and psi'(n-1+k)
+    # within a few ulp of 40-digit values, and the bounds C_k on the rest,
+    # each C_(k+1) + a_k with a_k at the cut (s = 1/4, l = ln(4/3) / 2, where
+    # T's terms are bounded), 1/(n-2+k) > psi'(n-1+k) in psi's place, and
+    # positive and falling strictly unless a_k is below an ulp of C_k (from
+    # n = 200, where |W_k| grows by 10^30 along the table).  From n = 388
+    # (past the normal range from 344) every v_k, a_k and C_k is 0
     check_coefficients(n)
     terms, rest_0 = _s_coefficients(n)[5:7]
     rests = [rest_0] + [term[4] for term in terms]
-    assert rests[-1] > 0.0
-    for (v, g, b, psi, rest), prev in zip(terms, rests):
-        a = abs(v) * ((0.5 * math.log(2.0) - g) * (b + math.log(2.0)) + psi)
-        assert a > 0.0 and prev == rest + a
+    assert rests[-1] > 0.0 or n >= 388
+    for k, ((v, g, b, psi, rest), prev) in enumerate(zip(terms, rests)):
+        a = abs(v) * ((_SERIES_CUT - g) * (b + math.log(4.0)) + 1.0 / (n - 2 + k))
+        assert psi < 1.0 / (n - 2 + k) and prev == rest + a
+        if n <= 342:
+            assert a > 0.0
+        elif n >= 388:
+            assert v == a == prev == 0.0
         assert prev > rest or a < math.ulp(prev)
+    with mp.workdps(40):
+        for (v, g, b, psi, _), (w, g_ref, b_ref, psi_ref) in zip(terms, exact_t_terms(n)):
+            assert v == float(w)
+            # b_k falls to 0 but is only ever added to log s, |log s| >= log 4
+            assert abs(b - b_ref) <= 4 * EPS * max(1.0, abs(b))
+            for value, ref in ((g, g_ref), (psi, psi_ref)):
+                assert abs(value - ref) <= 4 * math.ulp(float(ref))
+
+
+def exact_t_terms(n):
+    # (v_k, g_k, b_k, psi'(n-1+k)) for k = 0, 1, ...: v_k = W_k / 4^(n-2+k)
+    # exact, the rest from their definitions in the working precision
     fact = math.factorial
     w = Fraction((-1) ** (n // 2) * fact(n) * (n - 2),
                  2 ** (2 * n - 3) * fact(n // 2) * fact(n // 2 - 1) * (n - 1))
-    with mp.workdps(40):
-        for k, (v, g, b, psi, _) in enumerate(terms):
-            assert v == float(w / 2 ** (n - 2 + k))
-            g_ref = mp.harmonic(n - 2) - mp.harmonic(n - 2 + k)
-            b_ref = (2 * mp.fsum(mp.mpf(1) / j for j in range(1, n - 2 + 2 * k, 2))
-                     - mp.harmonic(k) - 2 * mp.log(2))
-            # b_k falls to 0 but is only ever added to log s, |log s| >= log 2
-            assert abs(b - b_ref) <= 4 * EPS * max(1.0, abs(b))
-            for value, ref in ((g, g_ref), (psi, mp.psi(1, n - 1 + k))):
-                assert abs(value - ref) <= 4 * math.ulp(float(ref))
-            w = w * (n - 1 + 2 * k) / (2 * (k + 1))
+    k = 0
+    while True:
+        g = mp.harmonic(n - 2) - mp.harmonic(n - 2 + k)
+        b = (2 * mp.fsum(mp.mpf(1) / j for j in range(1, n - 2 + 2 * k, 2))
+             - mp.harmonic(k) - 2 * mp.log(2))
+        yield w / 4 ** (n - 2 + k), g, b, mp.psi(1, n - 1 + k)
+        w = w * (n - 1 + 2 * k) / (2 * (k + 1))
+        k += 1
 
 
 def exact_step_bounds(n):
@@ -239,6 +253,72 @@ def test_s_series_rest_bound(n, monkeypatch):
             assert tail <= _SERIES_TAIL
     assert max(reads) <= 6 and reads[0] == 1
     assert reads[-1] == 6 or n < 400
+
+
+def mp_of(x):
+    return mp.mpf(x.numerator) / x.denominator
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 20, 60, 342))
+def test_t_part_rest_bound(n, monkeypatch):
+    # T's bounds are taken at the cut, s = 1/4 and l = ln(4/3) / 2: each A_k
+    # as the build forms it, and each stored C_k, is at least its 40-digit
+    # value there, C_k the sum of the A_j from k on.  At four lengths below
+    # the cut, with P and Q summed whole (their step bounds inf, so they
+    # report no tail), _EPS = 0, math.ulp 0 and log c shifted so that F
+    # reads about 1, the relative estimate is T's share of the tail,
+    # lam (4s)^(n-1+k) C_(k+1) over S, k the last term summed and
+    # lam = log s / -log 4: at most 2^-54 and at least the exact rest of
+    # s^(n-2) T past term k, from exact W_k and the kernel's s in 40 digits.
+    # Where that bound is below the normal range (n = 342 off the cut), the
+    # share is too
+    module = importlib.import_module("orthovol.volume_kernel")
+    table = _s_coefficients(n)
+    terms, rest_0 = table[5:7]
+    stored = [rest_0] + [term[4] for term in terms]
+    with mp.workdps(40):
+        cut, exact = mp.mpf(_SERIES_CUT), []
+        for w, g, b, psi in exact_t_terms(n):
+            exact.append(abs(mp_of(w)) * ((cut - g) * (b + mp.log(4)) + psi))
+            if len(exact) > len(terms) and exact[-1] < mp.mpf(10) ** -45 * sum(exact):
+                break
+        for k, (v, g, b, psi, _) in enumerate(terms):
+            a = abs(v) * ((_SERIES_CUT - g) * (b + math.log(4.0)) + 1.0 / (n - 2 + k))
+            assert a >= exact[k] and stored[k] >= mp.fsum(exact[k:]), k
+        assert stored[-1] >= mp.fsum(exact[len(terms):])
+    (head, steps), terms = table[4], Counted(terms)
+    with mp.workdps(40):
+        p_and_q = exact_step_bounds(n)[1]
+    unbounded = [(*step[:8], math.inf, math.inf) for step in steps]
+    for l in (1e-3, 0.05, 0.1, math.nextafter(_SERIES_CUT, 0.0)):
+        log_f = volume_kernel(n, l).log_value
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_EPS", 0.0)
+            patch.setattr(module, "math", NO_ULP_MATH)
+            patch.setattr(module, "_s_coefficients", lambda m: (
+                table[0] - log_f, 0.0, 0.0, 0.0, (head, unbounded), terms, *table[6:]))
+            terms.read, terms.done = 0, False
+            kv = volume_kernel(n, l)
+        share = kv.err_estimate / kv.value
+        k = terms.read - 1
+        with mp.workdps(40):
+            s = mp.mpf(-math.expm1(-2.0 * l))
+            log_s = mp.log(s)
+            total = mp.fsum(r * s**j * (l + e) for j, (r, e) in enumerate(p_and_q))
+            rest = mp.mpf(0)
+            for j, (w, g, b, psi) in enumerate(exact_t_terms(n)):
+                term = mp_of(w) * (4 * s) ** (n - 2 + j) * ((l + g) * (log_s + b) - psi)
+                total += term
+                rest += term if j > k else 0
+                if j > max(k, len(exact)) and abs(term) < mp.mpf(10) ** -45 * abs(rest):
+                    break
+            bound = log_s / -mp.log(4) * (4 * s) ** (n - 1 + k) * stored[k + 1] / total
+        if bound < TINY:
+            assert share < TINY
+            continue
+        assert share <= _SERIES_TAIL
+        assert share >= abs(rest / total), (l, share, rest / total)
+        assert share == pytest.approx(float(bound), rel=1e-12, abs=0.0), l
 
 
 def test_odd_never_integrates(monkeypatch):

@@ -606,6 +606,28 @@ def test_cli_runs_without_scipy_or_numpy(tmp_path):
     assert lines[-1] == "commands []"
 
 
+def test_cli_import_leaves_csv_unloaded():
+    # a fresh import of the CLI loads csv only once the table command runs,
+    # and every library module but the selftest's, which a bench's tracer
+    # looks up in sys.modules
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    script = (
+        "import sys\n"
+        "import orthovol.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules if m == 'csv' or m.startswith('orthovol'))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "orthovol", "orthovol.bounds", "orthovol.cli", "orthovol.inner_kernel",
+        "orthovol.quadrature", "orthovol.special", "orthovol.spectrum",
+        "orthovol.volume_kernel",
+    ]
+
+
 def test_table_grid_matches_numpy():
     # The grid is built without numpy.  The linear one is linspace bit for
     # bit.  The log one is within 2 ulp of geomspace wherever math.log10

@@ -15,21 +15,19 @@ function's proved least slope puts the root within tolerance.
 from __future__ import annotations
 
 import math
-import sys
 from functools import cache
 from typing import NamedTuple
 
 from .quadrature import NonConvergenceError
-from .special import dimension
+from .special import LOG_DBL_MAX, dimension
 from .volume_kernel import KernelValue, small_length_constant, volume_kernel
 
 __all__ = ["collar_volume_factor", "power_law_floor", "volume_bound", "BoundResult"]
 
 _LOG2 = math.log(2.0)
 # least half-width of the bracket, in t = log x; its top is where the
-# collar factor's expm1((n-1) x) overflows, once (n-1) x passes this
+# collar factor's expm1((n-1) x) overflows, once (n-1) x passes LOG_DBL_MAX
 _LOG_BRACKET_LO = math.log(1e-300)
-_LOG_DBL_MAX = math.log(sys.float_info.max)
 # absolute tolerance on t (relative on x) and the least rtol, 4 eps
 _T_TOL = 1e-15
 _T_RTOL = 8.9e-16
@@ -105,9 +103,7 @@ def collar_volume_factor(n: int, r: float) -> tuple[float, float]:
     ulp): inf only where the factor overflows, and the log inf only where
     (n-1) r does.  n is taken through __index__.
     """
-    n = dimension(n)
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    n = dimension(n, 2)
     if not r >= 0.0:
         raise ValueError("width must be >= 0")
     return _collar(n, r, *_collar_weights(n))
@@ -139,7 +135,7 @@ def _collar(n: int, r: float, weights, log_combs) -> tuple[float, float]:
         # (n-1) r itself overflows, or r is inf
         return math.inf, math.inf
     log_total = top + math.log(math.fsum([math.exp(x - top) for x in logs])) - (n - 1) * _LOG2
-    return (math.exp(log_total) if log_total <= _LOG_DBL_MAX else math.inf), log_total
+    return (math.exp(log_total) if log_total <= LOG_DBL_MAX else math.inf), log_total
 
 
 def _log_small_crossing(n: int, area: float) -> float:
@@ -156,7 +152,7 @@ def power_law_floor(n: int, area: float) -> tuple[float, float]:
     is the bound's limit as the area grows.  log floor, from log K_n, is
     finite for every finite area > 0, also where K_n or the floor underflows.
     """
-    log_floor = _log_small_crossing(dimension(n), area) + math.log(area)
+    log_floor = _log_small_crossing(dimension(n, 3), area) + math.log(area)
     return math.exp(log_floor), log_floor
 
 
@@ -211,7 +207,7 @@ def volume_bound(n: int, area: float) -> BoundResult:
     do not straddle the root raise NonConvergenceError.  The bound and
     its log are the kernel's at the returned crossing length.
     """
-    n = dimension(n)
+    n = dimension(n, 3)
     t = min(max(_log_small_crossing(n, area), _LOG_BRACKET_LO), 0.0)
     log_area = math.log(area)
     weights, log_combs = _collar_weights(n)
@@ -223,7 +219,7 @@ def volume_bound(n: int, area: float) -> BoundResult:
         return kv.log_value - log_area - _collar(n, x, weights, log_combs)[1]
 
     # widest half-width: a solve tolerance inside the collar's overflow
-    t_hi = math.log(_LOG_DBL_MAX / (n - 1.0)) - _T_TOL
+    t_hi = math.log(LOG_DBL_MAX / (n - 1.0)) - _T_TOL
     ht = h(t)
     tol = _T_TOL + _T_RTOL * abs(t)
     step = max(ht / (n - 1.0), tol) if ht > 0.0 else min(ht / (n - 1.0), -tol)

@@ -18,6 +18,7 @@ import sys
 from .bounds import collar_volume_factor, power_law_floor, volume_bound
 from .inner_kernel import inner_kernel
 from .quadrature import NonConvergenceError
+from .special import LOG_DBL_MAX
 from .spectrum import parse_spectrum, spectrum_volume
 from .volume_kernel import small_length_constant, volume_kernel
 
@@ -138,7 +139,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         if args.floor:
             # K_n l^(2-n) from its log, as l^(n-2) over- or underflows
             log_floor = small_length_constant(args.dim)[1] - (args.dim - 2) * math.log(l)
-            floor = math.exp(log_floor) if log_floor < 709.0 else math.inf
+            floor = math.exp(log_floor) if log_floor <= LOG_DBL_MAX else math.inf
             row.append(_fmt_log(floor, log_floor, args.digits))
         if args.collar is not None:
             factor, log_factor = collar_volume_factor(args.dim, 0.5 * l)

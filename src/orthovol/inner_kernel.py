@@ -40,12 +40,10 @@ def inner_kernel(n: int, b: float) -> float:
     where it takes 18 terms for n = 3, 24 for n = 8 and 55 for n = 60;
     it sums them all at every b.  Against a 40-plus-digit mpmath
     evaluation, both branches are within 8.5e-16 relative for n <= 100.
-    n is taken through __index__, so a float raises TypeError.
+    n is taken through special.dimension, so a float raises TypeError.
     """
-    if type(n) is not int:
-        n = dimension(n)
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
+    if not (type(n) is int and n >= 3):
+        n = dimension(n, 3)
     _check_ratio(b)
     if b >= 3.0:
         return _far_field(n, b)

@@ -1,36 +1,40 @@
 """The elementary pieces the kernels are built from, one routine each.
 
-dimension takes every public function's n through __index__;
-harmonic gives H_k exactly as two integers, which every per-dimension
-table reads (volume_kernel builds its gamma constants from exact
-integers too); truncated_log is the logarithm series cut after n terms,
-of which the inner kernel's closed form is made; rogers_l is the Rogers
-dilogarithm of the n = 2 kernel, Li_2 in eight fixed Bernoulli terms of
-u = -log(1 - y) on y <= 1/2 and its reflection above.
+dimension takes every public function's n through __index__ and checks
+it against that function's least dimension; harmonic gives H_k exactly
+as two integers, which every per-dimension table reads; truncated_log
+is the logarithm series cut after n terms, of which the inner kernel's
+closed form is made; rogers_l is the Rogers dilogarithm of the n = 2
+kernel, Li_2 in eight fixed Bernoulli terms of u = -log(1 - y) on
+y <= 1/2 and its reflection above.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from functools import cache
 
 __all__ = ["dimension", "harmonic", "truncated_log", "rogers_l"]
 
-# B_2j / (2j+1)!, j = 1..8, from exact integers so each is correctly rounded
-_LI2_COEFFS = (
-    1 / 36, -1 / 3600, 1 / 211680, -1 / 10886400, 1 / 526901760,
-    -691 / 16999766784000, 1 / 1120863744000, -3617 / 181400588328960000,
-)
+# exp(x) is finite up to and at this x and overflows past it
+LOG_DBL_MAX = math.log(sys.float_info.max)
+# B_2j, j = 1..8, as exact (num, den); B_2j / (2j+1)! from them, correctly rounded
+BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+_LI2_COEFFS = tuple(a / (b * math.factorial(2 * j + 1)) for j, (a, b) in enumerate(BERNOULLI, 1))
 _PI2_6 = math.pi**2 / 6.0
 
 
-def dimension(n: int) -> int:
-    """n as a Python int, through __index__; a float or non-integer raises TypeError."""
+def dimension(n: int, least: int) -> int:
+    """n as a Python int through __index__, else TypeError; ValueError if n < least."""
     try:
-        return operator.index(n)
+        n = operator.index(n)
     except TypeError:
         raise TypeError(f"dimension must be an integer, got {n!r}") from None
+    if n < least:
+        raise ValueError(f"dimension must be >= {least}")
+    return n
 
 
 @cache

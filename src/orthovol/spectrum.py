@@ -84,9 +84,7 @@ def spectrum_volume(
     and half an ulp for the rounding of each term and of the total.
     n goes through __index__ and must be >= 2, also for an empty spectrum.
     """
-    n = dimension(n)
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    n = dimension(n, 2)
     rows = []
     terms = []
     errs = []

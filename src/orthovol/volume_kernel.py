@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .inner_kernel import inner_kernel
 from .quadrature import adaptive_quad
-from .special import dimension, harmonic, rogers_l
+from .special import BERNOULLI, LOG_DBL_MAX, dimension, harmonic, rogers_l
 
 __all__ = ["KernelValue", "volume_kernel", "small_length_constant"]
 
@@ -36,7 +36,6 @@ _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
 _LN_PI = math.log(math.pi)
 _FOUR_OVER_PI = 4.0 / math.pi
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 class KernelValue(NamedTuple):
@@ -99,9 +98,7 @@ def _shape_factor(n: int) -> float:
 
 def _check_kernel_args(n: int, l: float, least_n: int = 3) -> int:
     """n as a Python int once n >= least_n and 0 < l < inf; else TypeError or ValueError."""
-    n = dimension(n)
-    if n < least_n:
-        raise ValueError(f"dimension must be >= {least_n}")
+    n = dimension(n, least_n)
     if not 0.0 < l < math.inf:
         raise ValueError("length must be positive and finite")
     return n
@@ -178,11 +175,8 @@ def small_length_constant(n: int) -> tuple[float, float]:
     Gamma(n-1)), the s-series' limit c H_(n-2) / 2^(n-2), H_(n-2) = h / d,
     from exact integers: K_n is normal up to n = 326 (K_326 ~ 3e-308) and
     0 from n = 340, where log K_n still holds its size.  n is taken
-    through __index__, so a numpy integer gives the int's pair."""
-    n = dimension(n)
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
-    return _small_length_constant(n)
+    through special.dimension, so a numpy integer gives the int's pair."""
+    return _small_length_constant(dimension(n, 3))
 
 
 @cache
@@ -192,7 +186,7 @@ def _small_length_constant(n: int) -> tuple[float, float]:
     return _pi_rational(num * h, den * d << (n - 2), p)
 
 
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+_BERNOULLI = tuple(a / b for a, b in BERNOULLI)
 
 
 def _trigamma(j: int) -> float:
@@ -282,15 +276,14 @@ def _s_coefficients(n: int) -> tuple[float, float, float, float, list, list, flo
     step is (q_K, q_K e_K), K = 4m+1..4m+4, never padded.  Where
     (n-1) l < l_max (n-1) = 700 + min(log c, 0) and x = u / s < x_max =
     e^(690/(n-2)), every factor and partial product of c S u x^(n-2) is
-    normal: 1 <= S <= (350 + H_(n-2)) n, log c <= 1.2 and log c > -300
-    (n <= 228; c and l_max are 0 beyond).
+    normal: l < l_max gives log c, log(c S u) > -700 (1 <= S), x < x_max
+    gives x^(n-2) < e^690, and c S u < e^9 (log c <= 1.2, S <= (350 +
+    H_(n-2)) n).  From n = 413 no l < l_max has x < x_max, and from n = 431
+    l_max <= 0 (log c <= -700): the log scale serves every length there.
     """
     c, log_c = _pi_rational(*_c_rational(n))
-    if log_c > -300.0:
-        l_max = (700.0 + min(log_c, 0.0)) / (n - 1)
-        x_max = math.exp(690.0 / (n - 2))
-    else:
-        c = l_max = x_max = 0.0
+    l_max = (700.0 + min(log_c, 0.0)) / (n - 1)
+    x_max = math.exp(690.0 / (n - 2))
     # r_k = rn / rd and e_k = en / d with d = lcm(1, ..., n-2), all exact
     en, d = harmonic(n - 2)
     rn = rd = 1
@@ -473,7 +466,7 @@ def _s_kernel(n: int, l: float) -> KernelValue:
     # l P + Q overflows for l near the largest double, q / l for the least
     log_total = math.log(total) if l < 1.0 else math.log(l) + math.log(p + q / l)
     log_value = log_c - (n - 1) * l - (n - 2) * log_s + log_total
-    if log_value > _LOG_MAX:
+    if log_value > LOG_DBL_MAX:
         return _new_record(KernelValue, (math.inf, math.inf, log_value))
     value = math.exp(log_value)
     size = abs(log_c) + (n - 1) * l + (n - 2) * abs(log_s) + abs(log_total)

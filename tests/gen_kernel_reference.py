@@ -54,8 +54,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 PATH = os.path.join(HERE, "data", "kernel_reference.json")
 BENCH_REFERENCE = os.path.join(HERE, os.pardir, "perfbench", "reference.json")
 DIMENSIONS = (*range(2, 11), 13, 16, 20, 21, 25, 30, 39, 40, 41, 50, 51, 59, 60,
-              80, 99, 100, 101, 200, 201, 400, 401, 500, 600, 601, 1000, 1001,
-              2000, 2001)
+              80, 99, 100, 101, 200, 201, 229, 300, 400, 401, 412, 500, 600, 601,
+              1000, 1001, 2000, 2001)
 # ln(4/3) / 2, where even n switches from the s-series to the t-series,
 # and the double below it; ln 2 / 2, the cut before it, stays a length
 CUT = 0.5 * math.log(4.0 / 3.0)

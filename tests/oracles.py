@@ -20,6 +20,7 @@ from scipy.integrate import quad
 
 from orthovol.inner_kernel import _check_ratio
 from orthovol.quadrature import NonConvergenceError
+from orthovol.special import dimension
 from orthovol.volume_kernel import KernelValue
 
 
@@ -72,8 +73,7 @@ def chord_length_nd(n: int, x, y, a: float) -> float:
     from the origin to the chord's line, and dividing through by
     sqrt(1 - r^2) rescales the two sphere crossings onto the line.
     """
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
+    n = dimension(n, 3)
     if not a > 1.0:
         raise ValueError("outer radius must exceed 1")
     x = np.asarray(x, dtype=float)
@@ -180,8 +180,7 @@ def inner_kernel_integral(
     the outer pass and the inner passes, keeping the combined error
     estimate within it.
     """
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
+    n = dimension(n, 3)
     _check_ratio(b)
     bm1 = b - 1.0
     lo = bm1 / (b + 1.0)

@@ -23,7 +23,8 @@ from orthovol import (
     volume_bound,
     volume_kernel,
 )
-from orthovol.bounds import _LOG_BRACKET_LO, _LOG_DBL_MAX, _T_RTOL, _T_TOL, _collar_weights
+from orthovol.bounds import _LOG_BRACKET_LO, _T_RTOL, _T_TOL, _collar_weights
+from orthovol.special import LOG_DBL_MAX
 from orthovol.volume_kernel import small_length_constant
 
 EPS = sys.float_info.epsilon
@@ -148,8 +149,8 @@ def _collar_mp(n, r):
 def test_collar_log_is_the_log_of_a_finite_factor(n):
     # wherever the sum is finite the log is math.log of it, so
     # volume_bound's h is the same double it was
-    for r in (0.0, 1e-300, 1e-3, 0.3, 1.0, 5.0, 0.99 * _LOG_DBL_MAX / (n - 1)):
-        if (n - 1) * r > _LOG_DBL_MAX:
+    for r in (0.0, 1e-300, 1e-3, 0.3, 1.0, 5.0, 0.99 * LOG_DBL_MAX / (n - 1)):
+        if (n - 1) * r > LOG_DBL_MAX:
             continue
         factor, log_factor = collar_volume_factor(n, r)
         assert factor < math.inf
@@ -169,7 +170,7 @@ def test_collar_log_past_the_overflow_of_its_sum(n, r):
     with mpmath.workdps(60):
         log_want = mpmath.log(want)
         assert abs(log_factor - log_want) <= 8 * EPS * abs(log_want)
-        if log_want < _LOG_DBL_MAX:
+        if log_want < LOG_DBL_MAX:
             assert abs(factor / want - 1) <= 2 * EPS * log_want
         else:
             assert factor == math.inf
@@ -354,7 +355,7 @@ def test_volume_bound_first_step_brackets(monkeypatch):
     # where the collar factor overflows.
     calls = _counting(monkeypatch)
     for n in (3, 4, 5, 6, 7, 8, 20, 60, 400, 2001):
-        t_hi = math.log(_LOG_DBL_MAX / (n - 1.0)) - _T_TOL
+        t_hi = math.log(LOG_DBL_MAX / (n - 1.0)) - _T_TOL
         limits = (2.0 * math.exp(_LOG_BRACKET_LO), 2.0 * math.exp(t_hi))
         for k in range(-30, 31):
             calls.clear()

@@ -51,6 +51,17 @@ def test_even_estimate_is_not_loose():
     assert median_over_estimate(EVEN) < 1e3
 
 
+@pytest.mark.parametrize("n, l", [(400, 0.1), (229, 1.0)])
+def test_linear_scale_past_n_228(n, l):
+    # log c is -635 at n = 400 and -302 at n = 229: l < l_max and x < x_max
+    # alone keep every partial product normal, so the linear scale serves
+    # both, with its smaller estimate (the log scale's reads 1.9e-12, 8.8e-13)
+    (row,) = [p for p in POINTS if (p["n"], p["l"]) == (n, l)]
+    kv = volume_kernel(n, l)
+    assert kv.err_estimate <= 5e-13 * kv.value
+    assert abs(mp.mpf(row["value"]) - kv.value) <= kv.err_estimate
+
+
 def exact_coefficients(n):
     # r_k from r_(k+1) = r_k (n-3-2k) / (2(n-3-k)), and r_k e_k with
     # e_k = H_(n-2) - H_k, in exact rationals; r_k is 0 from

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from orthovol.special import _LI2_COEFFS, harmonic, rogers_l, truncated_log
+from orthovol import (collar_volume_factor, inner_kernel, power_law_floor, small_length_constant,
+                      spectrum_volume, volume_bound, volume_kernel)
+from orthovol.special import _LI2_COEFFS, dimension, harmonic, rogers_l, truncated_log
+from orthovol.volume_kernel import _BERNOULLI
 
 EPS = 2.0**-52
 
@@ -142,15 +145,40 @@ def test_dilogarithm_domain():
 
 
 def test_li2_coefficients_correctly_rounded():
-    # B_2j / (2j+1)!, j = 1..8, with the Bernoulli numbers exact from
-    # sum_{k<=m} C(m+1, k) B_k = 0 (B_1 = -1/2, the u^2/4 term)
+    # B_2j / (2j+1)!, j = 1..8, and the trigamma series' B_2j, with the
+    # Bernoulli numbers exact from sum_{k<=m} C(m+1, k) B_k = 0 (B_1 =
+    # -1/2, the u^2/4 term)
     bernoulli = [Fraction(1)]
     for m in range(1, 17):
         bernoulli.append(-sum(math.comb(m + 1, k) * bernoulli[k] for k in range(m)) / (m + 1))
     assert bernoulli[1] == Fraction(-1, 2)
-    assert len(_LI2_COEFFS) == 8
+    assert len(_LI2_COEFFS) == len(_BERNOULLI) == 8
     for j, coeff in enumerate(_LI2_COEFFS, start=1):
         assert coeff == float(bernoulli[2 * j] / math.factorial(2 * j + 1)), j
+        assert _BERNOULLI[j - 1] == float(bernoulli[2 * j]), j
+
+
+# every public function of n, with its least dimension and valid other arguments
+ENTRY_POINTS = [
+    (volume_kernel, 2, (1.0,)),
+    (small_length_constant, 3, ()),
+    (inner_kernel, 3, (2.0,)),
+    (collar_volume_factor, 2, (0.5,)),
+    (spectrum_volume, 2, ([(1.0, 1)],)),
+    (power_law_floor, 3, (10.0,)),
+    (volume_bound, 3, (10.0,)),
+]
+
+
+@pytest.mark.parametrize("fn, least, args", ENTRY_POINTS,
+                         ids=[fn.__name__ for fn, _, _ in ENTRY_POINTS])
+def test_entry_point_checks_its_least_dimension(fn, least, args):
+    with pytest.raises(ValueError, match=f"^dimension must be >= {least}$"):
+        fn(least - 1, *args)
+    assert fn(np.int64(least), *args) == fn(least, *args)
+    with pytest.raises(ValueError, match=f"^dimension must be >= {least}$"):
+        dimension(np.int64(least - 1), least)
+    assert type(dimension(np.int64(least), least)) is int
 
 
 def test_rogers_l_within_its_bound():

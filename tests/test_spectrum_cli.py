@@ -229,6 +229,16 @@ def test_cli_table_floor_off_the_normal_range(argv, capsys):
             assert abs(mpmath.mpf(floor) - want) <= 1e-12 * want
 
 
+def test_cli_table_floor_up_to_the_largest_double(capsys):
+    # K_3 / l at this l is e^709.5, a double below the largest: the column
+    # prints that double, not a value formatted from its log
+    l = 1.1592709862852002e-308
+    assert main(["table", "-n", "3", "--lmin", repr(l), "--lmax", "1", "--steps", "2",
+                 "--floor"]) == 0
+    first = capsys.readouterr().out.split()[1]
+    assert first.split(",")[3] == f"{math.exp(709.5):.17g}"
+
+
 def test_cli_kn_rejects_dimension_below_three(capsys):
     assert main(["kn", "-n", "2"]) == 2
     assert "dimension must be >= 3" in capsys.readouterr().err
